@@ -20,23 +20,20 @@ from .tensor import (
     DiffTensor,
     Parameter,
     ShapeError,
+    _accum,
+    _check_finite,
+    _emit,
+    _unbroadcast,
     add,
     affine,
     as_tensor,
     concat_axis,
     layer_norm,
     matmul,
-    mul,
     relu,
     reshape,
-    scale,
-    softmax_rows,
     transpose,
 )
-
-# Finite stand-in for -inf in masked logits: large enough that exp() underflows
-# to exactly 0 after row-max subtraction, small enough to stay finite.
-NEG_INF_LOGIT = -1e30
 
 
 @dataclass
@@ -76,6 +73,11 @@ def masked_attention(q, k, v, m: MaskLike = None):
     broadcastable to [..., n, n_v]. Returns ``(output, weights)`` where
     weight rows over included keys sum to 1 and fully-masked rows are all
     zero (as is the corresponding output row).
+
+    One tape node whose backward keeps only the weights P: with
+    ``c = 1/sqrt(d_k)``, ``dS = P * (dO @ v^T - rowsum(dO * O))``,
+    ``dq = c dS @ k``, ``dk = c dS^T @ q`` and ``dv = P^T @ dO``. The
+    returned weights are a plain tensor; no gradient flows through them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     d_k = q.values.shape[-1]
@@ -83,28 +85,40 @@ def masked_attention(q, k, v, m: MaskLike = None):
         raise ShapeError(f"query dim {d_k} != key dim {k.values.shape[-1]}")
     if k.values.shape[-2] != v.values.shape[-2]:
         raise ShapeError("key/value counts differ")
+    c = 1.0 / np.sqrt(d_k)
 
-    logits = matmul(q, transpose(k, _swap_last_two(k.ndim)))
+    p = (q.values * c) @ np.swapaxes(k.values, -1, -2)
     mask = _mask_array(m)
+    dead = None
     if mask is not None:
-        logits = add(logits, DiffTensor(mask * NEG_INF_LOGIT))
-    logits = scale(logits, 1.0 / np.sqrt(d_k))
-    weights = softmax_rows(logits)
-    if mask is not None:
-        # A fully-excluded row softmaxes to uniform (all logits equal);
-        # zero it out explicitly per the degenerate-row rule.
-        keep = 1.0 - (np.broadcast_to(mask, logits.shape).min(axis=-1,
-                                                              keepdims=True) >= 1.0)
-        if (keep == 0.0).any():
-            weights = mul(weights, DiffTensor(keep.astype(np.float64)))
-    out = matmul(weights, v)
-    return out, weights
+        excluded = mask != 0.0
+        # A fully-excluded row keeps its logits so the softmax stays finite,
+        # then is zeroed per the degenerate-row rule.
+        dead = excluded.all(axis=-1, keepdims=True)
+        try:
+            np.copyto(p, -np.inf, where=excluded & ~dead)
+        except ValueError as e:
+            raise ShapeError(f"mask {mask.shape} does not broadcast to "
+                             f"attention logits {p.shape}") from e
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if dead is not None and dead.any():
+        np.copyto(p, 0.0, where=dead)
+    _check_finite(p, "masked_attention")
+    o = p @ v.values
 
+    def rule(g):
+        ds = g @ np.swapaxes(v.values, -1, -2)
+        ds -= (g * o).sum(axis=-1, keepdims=True)
+        ds *= p
+        _accum(q, _unbroadcast((ds @ k.values) * c, q.values.shape))
+        _accum(k, _unbroadcast((np.swapaxes(ds, -1, -2) @ q.values) * c,
+                               k.values.shape))
+        _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.values.shape))
 
-def _swap_last_two(ndim: int):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return axes
+    out = _emit(o, (q, k, v), rule, "masked_attention")
+    return out, DiffTensor(p)
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .errors import (
     TaskViolationError,
 )
 from .model import ModelConfig
-from .objectives import MetricReport
 
 
 def _parse_agents(text: str):

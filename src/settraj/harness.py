@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -280,7 +281,12 @@ class Checkpoint:
 
     def save(self, path) -> None:
         """Single .npz container: named parameter/moment arrays plus a JSON
-        metadata blob. Float64 arrays round-trip bit-exactly."""
+        metadata blob. Float64 arrays round-trip bit-exactly.
+
+        The write is atomic: the archive goes to a temporary sibling that
+        then replaces ``path``, so a crash leaves either the previous file or
+        the new one, never a partial one. ``path`` is used exactly as given
+        (no ``.npz`` suffix is appended)."""
         arrays = {}
         for name, p in self.params.named_parameters().items():
             arrays[f"param:{name}"] = p.tensor.values
@@ -296,7 +302,15 @@ class Checkpoint:
                     "scheme": "seedsequence(seed, epoch, stream)"},
         }
         arrays["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -435,7 +449,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
             for idx in batch:
                 seq = train_seqs[idx]
                 reports.append(_train_step(seq, masks[idx], model_cfg,
-                                           train_cfg, params, len(batch)))
+                                           params, len(batch)))
             grads = {}
             for name, p in params.named_parameters().items():
                 grads[name] = (p.tensor.grad if p.tensor.grad is not None
@@ -482,7 +496,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     return ckpt, logs
 
 
-def _train_step(seq, mask, model_cfg, train_cfg, params,
+def _train_step(seq, mask, model_cfg, params,
                 batch_size: int) -> LossReport:
     """Accumulate one sequence's gradient, scaled by ``1 / batch_size``.
 
@@ -587,12 +601,8 @@ def evaluate_velocity_baseline(seqs: Sequence[TrajectorySequence],
 def write_metric_report(report: MetricReport, task: TaskSpec, seed: int,
                         path) -> None:
     lines = [MetricReport.CSV_HEADER,
-             report.csv_row(validate_task_label(task), task.label(), seed)]
+             report.csv_row(task.kind, task.label(), seed)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def validate_task_label(task: TaskSpec) -> str:
-    return task.kind
 
 
 def write_confusion_matrix(cm: np.ndarray, path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class NanMask:
 
     def __post_init__(self):
         self.entries = _as_binary(self.entries, "NanMask")
-
-    def check_disjoint(self, m: ObservationMask) -> None:
-        if (self.entries & m.entries).any():
-            raise TaskViolationError(
-                "NaN-masked slots cannot simultaneously be prediction targets")
 
 
 NanLike = Union[NanMask, np.ndarray, None]

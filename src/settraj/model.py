@@ -19,7 +19,6 @@ import numpy as np
 from .attention import MhaParams, SabParams, set_attention_block
 from .errors import ConfigError, DataError, ShapeError
 from .masking import (
-    ExtendedMask,
     NanLike,
     ObservationMask,
     extend_mask_with_cls,

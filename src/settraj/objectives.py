@@ -60,7 +60,9 @@ def ade_loss(x_hat, x, m_unc: UncertaintyMask) -> DiffTensor:
 
     Both the numerator and the normalizer are graph expressions of theta, so
     the uncertainty weights receive gradient. Raises when the weights are
-    identically zero.
+    identically zero. Absent (non-finite) target slots must carry zero
+    weight; they are filled with 0 before the subtraction, so they add
+    exactly nothing to the loss or to any gradient.
     """
     x_hat = as_tensor(x_hat)
     target = np.asarray(x, dtype=np.float64)
@@ -69,6 +71,11 @@ def ade_loss(x_hat, x, m_unc: UncertaintyMask) -> DiffTensor:
     weights = m_unc.weights_tensor()
     if float(weights.values.sum()) <= 0.0:
         raise EmptyMaskError("uncertainty mask has no support")
+    absent = ~np.isfinite(target)
+    if absent.any():
+        if (weights.values[absent.any(axis=-1)] != 0.0).any():
+            raise DataError("a non-finite target slot carries loss weight")
+        target = np.where(absent, 0.0, target)
     dist = euclidean_norm(add(x_hat, DiffTensor(-target)))
     num = mul(dist, weights).sum()
     den = weights.sum()

@@ -20,7 +20,7 @@ __all__ = [
     "ConfigError", "NumericsError", "ShapeError",
     "DiffTensor", "Parameter", "Tape", "GradCheckReport",
     "active_tape", "add", "affine", "as_tensor", "backward", "concat_axis",
-    "constant", "div", "euclidean_norm", "grad_check", "layer_norm",
+    "div", "euclidean_norm", "grad_check", "layer_norm",
     "log_clamped", "matmul", "mul", "relu", "reshape", "scale", "sigmoid",
     "softmax_rows", "split_axis", "tensor_sum", "transpose",
     "xavier_normal_init",
@@ -163,11 +163,6 @@ def backward(loss: DiffTensor, tape: Tape) -> None:
 
 def as_tensor(x) -> DiffTensor:
     return x if isinstance(x, DiffTensor) else DiffTensor(x)
-
-
-def constant(x) -> DiffTensor:
-    """Wrap an array as a tensor that takes part in graphs but needs no grad."""
-    return as_tensor(x)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:

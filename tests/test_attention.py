@@ -13,11 +13,28 @@ from settraj.attention import (
     set_attention_block,
 )
 from settraj.errors import ConfigError
-from settraj.tensor import DiffTensor, Parameter
+from settraj.tensor import DiffTensor, Parameter, Tape, backward
 
 
 def rnd(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def composed_attention(q, k, v, m):
+    """Reference: the attention core built from generic tape ops (transpose,
+    matmul, add of a -1e30 mask, scale, softmax, keep-mul, matmul), as the
+    library computed it before the core became one fused op."""
+    axes = list(range(k.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    logits = tx.matmul(q, tx.transpose(k, axes))
+    if m is not None:
+        logits = tx.add(logits, DiffTensor(m * -1e30))
+    logits = tx.scale(logits, 1.0 / np.sqrt(q.shape[-1]))
+    weights = tx.softmax_rows(logits)
+    if m is not None:
+        dead = np.broadcast_to(m, logits.shape).min(axis=-1, keepdims=True)
+        weights = tx.mul(weights, DiffTensor(1.0 - (dead >= 1.0)))
+    return tx.matmul(weights, v), weights
 
 
 def identity_mha(d):
@@ -110,6 +127,88 @@ class TestMaskedAttention:
             return tx.mul(out, out).sum()
 
         assert tx.grad_check(f, DiffTensor(rnd((3, 4), 10))).passed
+
+
+def temporal_case(H=4, A=5, T=12, dh=8, seed=40):
+    """[H x A x T x dh] inputs with an [A x 1 x T] mask, as the temporal
+    blocks see them; agent 1 has every key excluded."""
+    rng = np.random.default_rng(seed)
+    qkv = [rng.normal(size=(H, A, T, dh)) for _ in range(3)]
+    m = (rng.uniform(size=(A, 1, T)) < 0.3).astype(float)
+    m[1] = 1.0
+    m[0] = 0.0
+    return qkv, m
+
+
+def social_case(H=4, T=6, A=5, dh=8, seed=41):
+    """[H x T x A x dh] inputs with a [T x 1 x A] mask, as the social blocks
+    see them (NaN-masked agents excluded per timestep)."""
+    rng = np.random.default_rng(seed)
+    qkv = [rng.normal(size=(H, T, A, dh)) for _ in range(3)]
+    m = (rng.uniform(size=(T, 1, A)) < 0.3).astype(float)
+    m[:, :, 0] = 0.0
+    return qkv, m
+
+
+def attention_grads(attn, qkv, m, seed=42):
+    """Output, weights and q/k/v gradients of sum(out * R) for random R."""
+    q, k, v = (DiffTensor(a.copy()) for a in qkv)
+    with Tape() as tape:
+        out, w = attn(q, k, v, m)
+        r = np.random.default_rng(seed).normal(size=out.shape)
+        backward(tx.mul(out, DiffTensor(r)).sum(), tape)
+    return out.values, w.values, q.grad, k.grad, v.grad
+
+
+class TestFusedAttentionAtModelShapes:
+    @pytest.mark.parametrize("case", [temporal_case, social_case])
+    def test_matches_composed_ops(self, case):
+        qkv, m = case()
+        fused = attention_grads(masked_attention, qkv, m)
+        reference = attention_grads(composed_attention, qkv, m)
+        for name, a, b in zip(("out", "weights", "dq", "dk", "dv"),
+                              fused, reference):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("case", [temporal_case, social_case])
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_gradient_fd(self, case, wrt):
+        qkv, m = case(H=2, dh=3)
+        r = np.random.default_rng(43).normal(size=qkv[2].shape)
+
+        def f(x):
+            args = [DiffTensor(a) for a in qkv]
+            args[wrt] = x
+            out, _ = masked_attention(*args, m)
+            return tx.mul(out, DiffTensor(r)).sum()
+
+        report = tx.grad_check(f, DiffTensor(qkv[wrt].copy()))
+        assert report.passed, report.max_rel_error
+
+    def test_fully_masked_rows_are_exact_zeros(self):
+        qkv, m = temporal_case()
+        out, w, dq, dk, dv = attention_grads(masked_attention, qkv, m)
+        assert (w[:, 1] == 0.0).all()
+        assert (out[:, 1] == 0.0).all()
+        assert (dq[:, 1] == 0.0).all()
+        # an excluded key gets exactly zero weight and no key/value gradient
+        assert (w[np.broadcast_to(m, w.shape) == 1.0] == 0.0).all()
+        key_out = np.broadcast_to(m[:, 0, :, None] == 1.0, dk.shape)
+        assert (dk[key_out] == 0.0).all() and (dv[key_out] == 0.0).all()
+        live = [0, 2, 3, 4]
+        np.testing.assert_allclose(w[:, live].sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_is_one_tape_node(self):
+        qkv, m = social_case()
+        with Tape() as tape:
+            masked_attention(*(DiffTensor(a) for a in qkv), m)
+        assert len(tape.ops) == 1
+
+    def test_mask_that_does_not_broadcast_is_rejected(self):
+        qkv, _ = social_case()
+        with pytest.raises(tx.ShapeError):
+            masked_attention(*(DiffTensor(a) for a in qkv), np.zeros((3, 7)))
 
 
 class TestMultiHeadAttention:

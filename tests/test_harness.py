@@ -152,7 +152,7 @@ class TestTrainLoop:
         mask = tiny_train_cfg().task.build_mask(tiny_dataset[0],
                                                 np.random.default_rng(0))
         params.zero_grad()
-        _train_step(tiny_dataset[0], mask, cfg, tiny_train_cfg(), params, 1)
+        _train_step(tiny_dataset[0], mask, cfg, params, 1)
         cls_grad = params.named_parameters()["classifier_rffn.w1"].tensor.grad
         assert cls_grad is None or not cls_grad.any()
         out_grad = params.named_parameters()["output_rffn.w1"].tensor.grad
@@ -172,8 +172,7 @@ class TestTrainLoop:
         for s in (seq, doubled):
             params = init_params(TINY_MODEL, seed=11)
             params.zero_grad()
-            report = _train_step(s, mask, TINY_MODEL, tiny_train_cfg(),
-                                 params, 1)
+            report = _train_step(s, mask, TINY_MODEL, params, 1)
             grads = {k: p.tensor.grad
                      for k, p in params.named_parameters().items()}
             runs.append((report, grads))
@@ -185,6 +184,33 @@ class TestTrainLoop:
         for k, g in grads_a.items():
             np.testing.assert_allclose(grads_b[k], g, rtol=1e-12, atol=1e-12,
                                        err_msg=k)
+
+    def test_gapped_sequence_trains_like_any_filled_copy(self, tiny_dataset):
+        # Absent observations (NaN, validity 0) carry no loss weight: the
+        # step is finite, and its loss and gradients do not depend on what
+        # the absent cells hold.
+        from settraj.harness import _train_step
+        seq = tiny_dataset[0]
+        gapped = seq.positions.copy()
+        gapped[2:7, 1] = np.nan   # agent 0 is the ball, the hidden agent
+        gapped[5:9, 3] = np.nan
+        valid = np.where(np.isnan(gapped[..., 0]), 0, seq.validity)
+        mask = TaskSpec(kind="inference", hidden_agents="ball").build_mask(
+            seq, np.random.default_rng(0))
+        runs = []
+        for positions in (gapped, np.nan_to_num(gapped, nan=3.0)):
+            s = dataclasses.replace(seq, positions=positions, validity=valid)
+            params = init_params(TINY_MODEL, seed=12)
+            params.zero_grad()
+            report = _train_step(s, mask, TINY_MODEL, params, 1)
+            grads = {k: p.tensor.grad
+                     for k, p in params.named_parameters().items()}
+            runs.append((report, grads))
+        (rep_nan, grads_nan), (rep_fill, grads_fill) = runs
+        assert np.isfinite(rep_nan.total)
+        assert rep_nan == rep_fill
+        for k, g in grads_fill.items():
+            np.testing.assert_array_equal(grads_nan[k], g, err_msg=k)
 
     def test_identical_seeds_identical_runs(self, tiny_dataset):
         a, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg())
@@ -235,6 +261,34 @@ class TestCheckpoint:
             saved = sum(int(np.prod(data[k].shape)) for k in data.files
                         if k.startswith("param:"))
         assert saved == count_parameters(TINY_MODEL)
+
+
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_dataset,
+                                                   tmp_path, monkeypatch):
+        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+        path = tmp_path / "model.npz"
+        ckpt.save(path)
+        before = path.read_bytes()
+
+        def fail_part_way(fh, **arrays):
+            fh.write(b"partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.npz"]
+        assert Checkpoint.load(path).step == ckpt.step
+
+    def test_path_without_suffix_is_written_as_given(self, tiny_dataset,
+                                                     tmp_path):
+        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+        path = tmp_path / "ckpt"
+        ckpt.save(path)
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt"]
+        assert Checkpoint.load(path).step == ckpt.step
 
 
 class TestEvaluation:

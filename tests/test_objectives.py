@@ -56,6 +56,18 @@ class TestAdeLoss:
             ade_loss(DiffTensor(np.zeros((2, 1, 2))), np.zeros((2, 1, 2)),
                      unc_from_entries(np.zeros((2, 1))))
 
+    def test_absent_target_with_zero_weight_is_ignored(self):
+        pred = np.array([[[3.0, 4.0], [1.0, 1.0]]])
+        gt = np.array([[[0.0, 0.0], [np.nan, np.nan]]])
+        m = unc_from_entries(np.array([[1.0, 0.0]]))
+        assert ade_loss(DiffTensor(pred), gt, m).item() == 5.0
+
+    def test_absent_target_with_weight_rejected(self):
+        gt = np.array([[[0.0, 0.0], [np.nan, np.nan]]])
+        with pytest.raises(DataError):
+            ade_loss(DiffTensor(np.zeros((1, 2, 2))), gt,
+                     unc_from_entries(np.ones((1, 2))))
+
     def test_binary_restriction_equals_metric(self):
         rng = np.random.default_rng(1)
         pred = rng.normal(size=(6, 3, 2))
