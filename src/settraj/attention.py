@@ -11,28 +11,25 @@ embedding through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .tensor import (
-    ConfigError,
     DiffTensor,
     Parameter,
     ShapeError,
     _accum,
     _check_finite,
     _emit,
+    _rowdot,
     _unbroadcast,
     add,
     affine,
     as_tensor,
-    concat_axis,
     layer_norm,
     matmul,
     relu,
-    reshape,
-    transpose,
 )
 
 
@@ -50,48 +47,58 @@ class KeyMask:
             raise ValueError("KeyMask entries must be 0 or 1")
         self.entries = e.astype(np.float64)
 
-    @property
-    def fully_masked(self) -> np.ndarray:
-        """Boolean flag per query row: every key excluded."""
-        return self.entries.min(axis=-1) >= 1.0
-
 
 MaskLike = Union[KeyMask, np.ndarray, None]
 
 
-def _mask_array(m: MaskLike) -> Optional[np.ndarray]:
-    if m is None:
-        return None
-    arr = m.entries if isinstance(m, KeyMask) else np.asarray(m, dtype=np.float64)
-    return arr
+def masked_attention(q, k, v, m: MaskLike = None, heads: int = 1):
+    """Scaled dot-product attention with key exclusion, over ``heads``
+    heads that each own a contiguous slice of the channels.
 
+    q: [..., n, H*d_k], k: [..., n_v, H*d_k], v: [..., n_v, H*d_v]; head h
+    reads channels ``h*d:(h+1)*d`` and writes the same slice of the
+    [..., n, H*d_v] output. ``m`` is broadcastable to [..., n, n_v] and
+    shared by every head. Returns ``(output, weights)``: weights are
+    [..., n, n_v], or [..., H, n, n_v] when ``heads > 1``; rows over
+    included keys sum to 1 and fully-masked rows are all zero (as is the
+    corresponding output row).
 
-def masked_attention(q, k, v, m: MaskLike = None):
-    """Scaled dot-product attention with key exclusion.
-
-    q: [..., n, d_k], k: [..., n_v, d_k], v: [..., n_v, d_v]; ``m`` is
-    broadcastable to [..., n, n_v]. Returns ``(output, weights)`` where
-    weight rows over included keys sum to 1 and fully-masked rows are all
-    zero (as is the corresponding output row).
-
-    One tape node whose backward keeps only the weights P: with
-    ``c = 1/sqrt(d_k)``, ``dS = P * (dO @ v^T - rowsum(dO * O))``,
-    ``dq = c dS @ k``, ``dk = c dS^T @ q`` and ``dv = P^T @ dO``. The
-    returned weights are a plain tensor; no gradient flows through them.
+    One tape node; heads are split and merged as views of the channel axis.
+    The backward keeps only the weights P: with ``c = 1/sqrt(d_k)``,
+    ``dS = P * (dO @ v^T - rowsum(dO * O))``, ``dq = c dS @ k``,
+    ``dk = c dS^T @ q`` and ``dv = P^T @ dO``. The returned weights are a
+    plain tensor; no gradient flows through them.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d_k = q.values.shape[-1]
-    if k.values.shape[-1] != d_k:
-        raise ShapeError(f"query dim {d_k} != key dim {k.values.shape[-1]}")
+    if k.values.shape[-1] != q.values.shape[-1]:
+        raise ShapeError(f"query dim {q.values.shape[-1]} != key dim "
+                         f"{k.values.shape[-1]}")
     if k.values.shape[-2] != v.values.shape[-2]:
         raise ShapeError("key/value counts differ")
-    c = 1.0 / np.sqrt(d_k)
+    if q.values.shape[-1] % heads or v.values.shape[-1] % heads:
+        raise ShapeError(f"channels {q.values.shape[-1]} / "
+                         f"{v.values.shape[-1]} do not split into "
+                         f"{heads} heads")
+    c = 1.0 / np.sqrt(q.values.shape[-1] // heads)
 
-    p = (q.values * c) @ np.swapaxes(k.values, -1, -2)
-    mask = _mask_array(m)
-    dead = None
-    if mask is not None:
-        excluded = mask != 0.0
+    def split(x):
+        """[..., n, H*d] -> [..., H, n, d], a view."""
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
+
+    def merged_matmul(a, b):
+        """a @ b for [..., H, n, j] @ [..., H, j, d], written in place into
+        the merged [..., n, H*d] layout."""
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(lead[:-1] + (a.shape[-2], heads, b.shape[-1]))
+        np.matmul(a, b, out=np.swapaxes(out, -2, -3))
+        return out.reshape(out.shape[:-2] + (-1,))
+
+    qh, kh, vh = split(q.values * c), split(k.values), split(v.values)
+    p = qh @ np.swapaxes(kh, -1, -2)
+    if m is not None:
+        mask = m.entries if isinstance(m, KeyMask) else np.asarray(m)
+        # one mask for every head: a head axis before the query axis
+        excluded = mask.reshape(mask.shape[:-2] + (1,) + mask.shape[-2:]) != 0
         # A fully-excluded row keeps its logits so the softmax stays finite,
         # then is zeroed per the degenerate-row rule.
         dead = excluded.all(axis=-1, keepdims=True)
@@ -102,73 +109,56 @@ def masked_attention(q, k, v, m: MaskLike = None):
                              f"attention logits {p.shape}") from e
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    if dead is not None and dead.any():
+    p /= _rowdot(p, np.ones(p.shape[-1]))
+    if m is not None and dead.any():
         np.copyto(p, 0.0, where=dead)
     _check_finite(p, "masked_attention")
-    o = p @ v.values
+    o = merged_matmul(p, vh)
 
     def rule(g):
-        ds = g @ np.swapaxes(v.values, -1, -2)
-        ds -= (g * o).sum(axis=-1, keepdims=True)
+        gh = split(g)
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        go = (g * o).reshape(o.shape[:-1] + (heads, -1))
+        ds -= np.swapaxes(_rowdot(go, np.ones(go.shape[-1])), -2, -3)
         ds *= p
-        _accum(q, _unbroadcast((ds @ k.values) * c, q.values.shape))
-        _accum(k, _unbroadcast((np.swapaxes(ds, -1, -2) @ q.values) * c,
+        dq = merged_matmul(ds, kh)
+        dq *= c
+        _accum(q, _unbroadcast(dq, q.values.shape))
+        # qh already carries the factor c
+        _accum(k, _unbroadcast(merged_matmul(np.swapaxes(ds, -1, -2), qh),
                                k.values.shape))
-        _accum(v, _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.values.shape))
+        _accum(v, _unbroadcast(merged_matmul(np.swapaxes(p, -1, -2), gh),
+                               v.values.shape))
 
     out = _emit(o, (q, k, v), rule, "masked_attention")
-    return out, DiffTensor(p)
+    return out, DiffTensor(p if heads > 1 else p[..., 0, :, :])
 
 
 @dataclass
 class MhaParams:
-    """Per-head projections plus output projection for multi-head attention."""
+    """Fused projections for multi-head attention: head h of ``wq``, ``wk``
+    and ``wv`` is columns ``h*dh:(h+1)*dh`` with ``dh = d / n_heads``."""
 
-    wq: Sequence[Parameter]  # H matrices [d, d/H]
-    wk: Sequence[Parameter]
-    wv: Sequence[Parameter]
-    wo: Parameter            # [d, d]
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.wq)
+    wq: Parameter  # [d, d]
+    wk: Parameter
+    wv: Parameter
+    wo: Parameter  # [d, d]
+    n_heads: int
 
 
 def multi_head_attention(q, k, v, m: MaskLike, p: MhaParams):
-    """Concat of per-head masked attention, linearly mixed by ``wo``.
+    """Per-head masked attention over the fused projections, mixed by
+    ``wo``.
 
-    Heads are evaluated in one batched pass (projections fused along the
-    output axis, attention over a leading head axis); the math per head is
-    exactly ``masked_attention`` over the head's projected inputs. Returns
+    Five tape nodes: the q/k/v projections, one ``masked_attention`` that
+    splits and merges the heads itself, and the output projection. Returns
     ``(output, head_avg_weights)``; the weights are the per-head attention
     matrices averaged over heads (plain ndarray, for export).
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.values.shape[-1]
-    H = p.n_heads
-    if d % H != 0:
-        raise ConfigError(f"model width {d} not divisible by {H} heads")
-
-    def project(x, mats):
-        # [..., n, d] @ [d, H*dh] -> [H, ..., n, dh]
-        merged = matmul(x, concat_axis([w.tensor for w in mats], axis=-1))
-        n = merged.shape[-2]
-        lead = merged.shape[:-2]
-        dh = merged.shape[-1] // H
-        split = reshape(merged, lead + (n, H, dh))
-        ndim = len(split.shape)
-        axes = (ndim - 2,) + tuple(range(ndim - 2)) + (ndim - 1,)
-        return transpose(split, axes)
-
-    qh, kh, vh = project(q, p.wq), project(k, p.wk), project(v, p.wv)
-    out_h, w_h = masked_attention(qh, kh, vh, m)
-    ndim = len(out_h.shape)
-    axes = tuple(range(1, ndim - 1)) + (0, ndim - 1)
-    merged = transpose(out_h, axes)
-    lead = merged.shape[:-2]
-    out = matmul(reshape(merged, lead + (d,)), p.wo.tensor)
-    return out, w_h.values.mean(axis=0)
+    out, w = masked_attention(matmul(q, p.wq.tensor), matmul(k, p.wk.tensor),
+                              matmul(v, p.wv.tensor), m, heads=p.n_heads)
+    w = w.values.mean(axis=-3) if p.n_heads > 1 else w.values
+    return matmul(out, p.wo.tensor), w
 
 
 @dataclass

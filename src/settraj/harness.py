@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import TrajectorySequence, normalize, velocity_baseline
+from .data import TrajectorySequence, denormalize, normalize, velocity_baseline
 from .errors import ConfigError, DataError, NumericsError
 from .masking import (
     ObservationMask,
@@ -49,9 +49,9 @@ from .objectives import (
     max_err_metric,
     total_loss,
 )
-from .tensor import DiffTensor, Tape, add, backward, mul, scale
+from .tensor import Tape, backward, scale
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,9 @@ class Checkpoint:
     params: ModelParams
     moments: AdamWState
     train_cfg: TrainConfig
-    epoch: int
+    epoch: int       # epochs complete
     step: int
+    batch: int = 0   # batches of epoch ``epoch`` already done
 
     def save(self, path) -> None:
         """Single .npz container: named parameter/moment arrays plus a JSON
@@ -298,6 +299,7 @@ class Checkpoint:
             "train_cfg": self.train_cfg.to_dict(),
             "epoch": self.epoch,
             "step": self.step,
+            "batch": self.batch,
             "rng": {"seed": self.train_cfg.seed,
                     "scheme": "seedsequence(seed, epoch, stream)"},
         }
@@ -332,34 +334,28 @@ class Checkpoint:
                                                        dtype=np.float64)
         return cls(model_cfg=model_cfg, params=params, moments=moments,
                    train_cfg=train_cfg, epoch=meta["epoch"],
-                   step=meta["step"])
+                   step=meta["step"], batch=meta["batch"])
 
 
 # ---------------------------------------------------------------------------
 # forward plumbing shared by train / evaluate
 # ---------------------------------------------------------------------------
 
-def _denorm_predictions(pred: DiffTensor, pitch) -> DiffTensor:
-    half = np.array([pitch.length / 2.0, pitch.width / 2.0])
-    return add(mul(pred, DiffTensor(half)), DiffTensor(half))
-
-
 def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
-              params: ModelParams) -> tuple[ForwardOutput, DiffTensor,
+              params: ModelParams) -> tuple[ForwardOutput, np.ndarray,
                                             np.ndarray]:
     """Forward one sequence through the model in normalized coordinates.
 
     Returns the raw forward output, the predictions mapped back to field
-    units (still differentiable), and the field-unit trajectories with the
-    original visible values composited back bit-exactly.
+    units, and the field-unit trajectories with the original visible values
+    composited back bit-exactly.
     """
     nan = seq.nan_mask()
     x_in = seq.inputs(channels=cfg.input_channels, normalized=True)
     out = forward(x_in, m, nan, cfg, params)
-    pred_field = _denorm_predictions(out.predictions, seq.pitch)
+    pred_field = denormalize(out.predictions.values, seq.pitch)
     visible = (m.entries == 0) & (nan == 0)
-    trajectories = np.where(visible[..., None], seq.positions,
-                            pred_field.values)
+    trajectories = np.where(visible[..., None], seq.positions, pred_field)
     return out, pred_field, trajectories
 
 
@@ -406,7 +402,9 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     Per epoch: batch order is reshuffled (seeded), task masks are rebuilt
     (re-randomized only when ``regenerate_masks``), each batch accumulates
     per-sequence gradients in fixed order, gradients are clipped, and one
-    AdamW step is applied. A non-finite loss aborts with a diagnostic.
+    AdamW step is applied; validation runs after each complete epoch. A
+    non-finite loss aborts with a diagnostic. A run resumed from a
+    checkpoint skips the batches of the epoch that the checkpoint has done.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -419,10 +417,11 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     if resume_from is not None:
         params, moments = resume_from.params, resume_from.moments
         start_epoch, step = resume_from.epoch, resume_from.step
+        start_batch = resume_from.batch
     else:
         params = init_params(model_cfg, seed=train_cfg.seed)
         moments = AdamWState(params)
-        start_epoch, step = 0, 0
+        start_epoch, step, start_batch = 0, 0, 0
 
     logs: list[StepLog] = []
     val_history: list[dict] = []
@@ -433,17 +432,19 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
 
     masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed, epoch=0)
     stop = False
-    final_epoch = start_epoch
+    bs = train_cfg.batch_size
+    n_batches = -(-len(train_seqs) // bs)
+    position = (start_epoch, start_batch)  # (complete epochs, batches done)
     for epoch in range(start_epoch, train_cfg.epochs):
-        final_epoch = epoch + 1
         if train_cfg.regenerate_masks and epoch > 0:
             masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed,
                                 epoch=epoch)
         lr = lr_schedule(epoch, train_cfg)
         order = np.random.default_rng(
             [train_cfg.seed, epoch, 1]).permutation(len(train_seqs))
-        for lo in range(0, len(order), train_cfg.batch_size):
-            batch = order[lo:lo + train_cfg.batch_size]
+        first = start_batch if epoch == start_epoch else 0
+        for b in range(first, n_batches):
+            batch = order[b * bs:(b + 1) * bs]
             params.zero_grad()
             reports: list[LossReport] = []
             for idx in batch:
@@ -470,10 +471,11 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
             ))
             if not np.isfinite(logs[-1].loss):
                 raise NumericsError(f"training diverged at step {step}")
+            position = (epoch, b + 1) if b + 1 < n_batches else (epoch + 1, 0)
             if max_steps is not None and step >= max_steps:
                 stop = True
                 break
-        if val_seqs:
+        if val_seqs and position == (epoch + 1, 0):
             report, _ = evaluate(params, model_cfg, val_seqs, train_cfg.task,
                                  seed=train_cfg.seed)
             val_history.append({"epoch": epoch, "ade": report.ade})
@@ -485,7 +487,8 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
             break
 
     ckpt = Checkpoint(model_cfg=model_cfg, params=params, moments=moments,
-                      train_cfg=train_cfg, epoch=final_epoch, step=step)
+                      train_cfg=train_cfg, epoch=position[0], step=step,
+                      batch=position[1])
     if out_dir is not None:
         ckpt.save(out_dir / "checkpoint_final.npz")
         write_step_log(logs, out_dir / "train_log.csv")
@@ -541,6 +544,26 @@ def evaluate(params: ModelParams, model_cfg: ModelConfig,
     mask. The confusion matrix is returned when the model classifies and the
     data is labeled.
     """
+    def predict(seq, m, nan):
+        out, _, traj = run_model(seq, m, model_cfg, params)
+        graded = model_cfg.with_cls and seq.states is not None
+        return traj, out.state_scores.values if graded else None
+
+    return _score(seqs, task, seed, predict)
+
+
+def evaluate_velocity_baseline(seqs: Sequence[TrajectorySequence],
+                               task: TaskSpec, seed: int = 0) -> MetricReport:
+    """The extrapolation baseline pushed through the same metric pipeline
+    (no classifier, so accuracy is absent)."""
+    return _score(seqs, task, seed, lambda seq, m, nan: (
+        velocity_baseline(seq.positions, m, nan), None))[0]
+
+
+def _score(seqs, task, seed, predict):
+    """The metric loop of both evaluations: ``predict(seq, mask, nan)``
+    gives field-unit trajectories and the per-frame state scores to grade
+    (None for none)."""
     if not seqs:
         raise DataError("evaluation needs at least one sequence")
     masks = build_masks(seqs, task, seed, epoch=0)
@@ -549,19 +572,18 @@ def evaluate(params: ModelParams, model_cfg: ModelConfig,
     cm = None
     all_forecasting = all(validate_task(m) == "forecasting" for m in masks)
     for seq, m in zip(seqs, masks):
-        out, _, traj = run_model(seq, m, model_cfg, params)
         nan = seq.nan_mask()
+        traj, scores = predict(seq, m, nan)
         ades.append(ade_metric(traj, seq.positions, m, nan))
         mx, d = max_err_metric(traj, seq.positions, m, nan)
         maxes.append(mx)
         d_total += d
         if all_forecasting:
             fdes.append(fde_metric(traj, seq.positions, m, nan))
-        if model_cfg.with_cls and seq.states is not None:
-            truth = seq.one_hot_states(model_cfg.n_state_classes)
-            pred = out.state_scores.values
-            accs.append(accuracy_metric(truth, pred))
-            step_cm = confusion_matrix(truth, pred, model_cfg.n_state_classes)
+        if scores is not None:
+            truth = seq.one_hot_states(scores.shape[-1])
+            accs.append(accuracy_metric(truth, scores))
+            step_cm = confusion_matrix(truth, scores, scores.shape[-1])
             cm = step_cm if cm is None else cm + step_cm
     report = MetricReport(
         ade=float(np.mean(ades)),
@@ -571,31 +593,6 @@ def evaluate(params: ModelParams, model_cfg: ModelConfig,
         d_count=d_total,
     )
     return report, cm
-
-
-def evaluate_velocity_baseline(seqs: Sequence[TrajectorySequence],
-                               task: TaskSpec, seed: int = 0) -> MetricReport:
-    """The extrapolation baseline pushed through the same metric pipeline
-    (no classifier, so accuracy is absent)."""
-    if not seqs:
-        raise DataError("evaluation needs at least one sequence")
-    masks = build_masks(seqs, task, seed, epoch=0)
-    ades, fdes, maxes = [], [], []
-    d_total = 0
-    all_forecasting = all(validate_task(m) == "forecasting" for m in masks)
-    for seq, m in zip(seqs, masks):
-        nan = seq.nan_mask()
-        x_hat = velocity_baseline(seq.positions, m, nan)
-        ades.append(ade_metric(x_hat, seq.positions, m, nan))
-        mx, d = max_err_metric(x_hat, seq.positions, m, nan)
-        maxes.append(mx)
-        d_total += d
-        if all_forecasting:
-            fdes.append(fde_metric(x_hat, seq.positions, m, nan))
-    return MetricReport(ade=float(np.mean(ades)),
-                        fde=float(np.mean(fdes)) if fdes else None,
-                        max_err=float(np.mean(maxes)), acc=None,
-                        d_count=d_total)
 
 
 def write_metric_report(report: MetricReport, task: TaskSpec, seed: int,

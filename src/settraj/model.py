@@ -140,16 +140,15 @@ def _build_rffn(params: ModelParams, prefix: str, d_in: int, hidden: int,
 
 def _build_sab(params: ModelParams, prefix: str, d: int, n_heads: int,
                hidden: int, draw) -> SabParams:
-    dh = d // n_heads
-    mha = MhaParams(
-        wq=[params.register(f"{prefix}.mha.wq.{h}", draw(d, dh))
-            for h in range(n_heads)],
-        wk=[params.register(f"{prefix}.mha.wk.{h}", draw(d, dh))
-            for h in range(n_heads)],
-        wv=[params.register(f"{prefix}.mha.wv.{h}", draw(d, dh))
-            for h in range(n_heads)],
-        wo=params.register(f"{prefix}.mha.wo", draw(d, d)),
-    )
+    def fused(name):
+        # one [d x d/H] draw per head, in head order, so a seed gives the
+        # same initial values as separate per-head matrices would
+        return params.register(f"{prefix}.mha.{name}", np.concatenate(
+            [draw(d, d // n_heads) for _ in range(n_heads)], axis=1))
+
+    mha = MhaParams(wq=fused("wq"), wk=fused("wk"), wv=fused("wv"),
+                    wo=params.register(f"{prefix}.mha.wo", draw(d, d)),
+                    n_heads=n_heads)
     return SabParams(
         mha=mha,
         ln1_gain=params.register(f"{prefix}.ln1.gain", np.ones(d)),
@@ -227,8 +226,8 @@ def count_parameters(cfg: ModelConfig) -> int:
     def rffn(a, h, b):
         return a * h + h + h * b + b
 
-    d, H, hidden = cfg.d, cfg.n_heads, cfg.sab_hidden
-    sab = 3 * H * d * (d // H) + d * d + 4 * d + rffn(d, hidden, d)
+    d, hidden = cfg.d, cfg.sab_hidden
+    sab = 4 * d * d + 4 * d + rffn(d, hidden, d)
     n_sabs = 6 if cfg.with_social else 4
     total = rffn(cfg.input_channels, d, d) + n_sabs * sab + rffn(d, d, 2)
     if cfg.with_cls:

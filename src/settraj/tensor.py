@@ -182,9 +182,17 @@ def _emit(values: np.ndarray, inputs: Sequence[DiffTensor],
 
 def _accum(t: DiffTensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.array(np.broadcast_to(g, t.values.shape), dtype=np.float64)
+        if g.shape != t.values.shape:
+            g = np.broadcast_to(g, t.values.shape)
+        t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def _rowdot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over the last axis, kept with length 1, as one matrix-vector
+    product: a row sum (mean) with ``w`` all ones (``1/d``)."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (1,))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -429,20 +437,21 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> DiffTensor:
     d = x.values.shape[-1]
     if gvals.values.shape != (d,) or bvals.values.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    centered = x.values - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_d = np.full(d, 1.0 / d)
+    centered = x.values - _rowdot(x.values, inv_d)
+    var = _rowdot(centered * centered, inv_d)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = xhat * gvals.values + bvals.values
 
     def rule(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gvals, (g * xhat).sum(axis=lead))
-        _accum(bvals, g.sum(axis=lead))
+        g_flat = g.reshape(-1, d)
+        ones = np.ones(g_flat.shape[0])
+        _accum(gvals, ones @ (g_flat * xhat.reshape(-1, d)))
+        _accum(bvals, ones @ g_flat)
         gx = g * gvals.values
-        _accum(x, inv_std * (gx - gx.mean(axis=-1, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        _accum(x, inv_std * (gx - _rowdot(gx, inv_d)
+                             - xhat * _rowdot(gx * xhat, inv_d)))
 
     return _emit(out, (x, gvals, bvals), rule, "layer_norm")
 
@@ -462,7 +471,7 @@ def affine(x, w, b) -> DiffTensor:
         lead_flat = g.reshape(-1, g.shape[-1])
         x_flat = x.values.reshape(-1, x.values.shape[-1])
         _accum(wt, x_flat.T @ lead_flat)
-        _accum(bt, lead_flat.sum(axis=0))
+        _accum(bt, np.ones(lead_flat.shape[0]) @ lead_flat)
         _accum(x, g @ wt.values.T)
 
     return _emit(out, (x, wt, bt), rule, "affine")

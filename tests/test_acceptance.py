@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from settraj import tensor as tx
 from settraj.attention import masked_attention
@@ -17,7 +16,6 @@ from settraj.harness import (
     Checkpoint,
     TaskSpec,
     TrainConfig,
-    build_masks,
     evaluate,
     evaluate_velocity_baseline,
     export_attention,
@@ -29,7 +27,6 @@ from settraj.masking import (
     build_inference_mask,
     build_percentage_mask,
     build_uncertainty_mask,
-    validate_task,
 )
 from settraj.model import ModelConfig, forward, init_params
 from settraj.objectives import (
@@ -482,6 +479,30 @@ def test_criterion_09_reproducibility(tmp_path):
                == resumed.params.named_parameters()[name].tensor.values).all()
     report(9, ok, "identical seeds give bit-identical checkpoints and metric "
                   "CSVs; save/load/resume is bit-exact")
+
+
+def test_criterion_09_mid_epoch_resume(tmp_path):
+    # 9 sequences in batches of 3: stopping after 4 steps leaves epoch 1
+    # one batch in; the resumed run must finish it, not skip to epoch 2
+    seqs = generate_possession_game(9, 12, 2, rng_seed=23)
+    tc = TrainConfig(epochs=3, batch_size=3, lr=0.01, seed=9,
+                     task=TaskSpec(kind="forecasting", predicted="players",
+                                   t_hat=4))
+    full, full_logs = train(seqs, TINY, tc)
+    part, _ = train(seqs, TINY, tc, max_steps=4)
+    part.save(tmp_path / "part.npz")
+    reloaded = Checkpoint.load(tmp_path / "part.npz")
+    resumed, logs = train(seqs, TINY, tc, resume_from=reloaded)
+    ok = (reloaded.epoch, reloaded.batch, reloaded.step) == (1, 1, 4)
+    ok &= [(l.step, l.epoch) for l in logs] \
+        == [(l.step, l.epoch) for l in full_logs[4:]]
+    ok &= (resumed.epoch, resumed.batch, resumed.step) == (3, 0, 9)
+    for name, p in full.params.named_parameters().items():
+        ok &= (p.tensor.values
+               == resumed.params.named_parameters()[name].tensor.values).all()
+    report(9, ok, "resuming a checkpoint taken mid-epoch finishes that "
+                  "epoch and ends bit-exactly where the uninterrupted run "
+                  "does")
 
 
 def test_criterion_10_hyperparameter_fidelity():

@@ -39,20 +39,15 @@ def composed_attention(q, k, v, m):
 
 def identity_mha(d):
     eye = lambda name: Parameter(name, DiffTensor(np.eye(d)))
-    return MhaParams(wq=[eye("q")], wk=[eye("k")], wv=[eye("v")],
-                     wo=eye("o"))
+    return MhaParams(wq=eye("q"), wk=eye("k"), wv=eye("v"), wo=eye("o"),
+                     n_heads=1)
 
 
 def random_mha(d, H, seed=0):
     rng = np.random.default_rng(seed)
-    dh = d // H
     mk = lambda name, shape: Parameter(name, DiffTensor(rng.normal(size=shape)))
-    return MhaParams(
-        wq=[mk(f"wq.{h}", (d, dh)) for h in range(H)],
-        wk=[mk(f"wk.{h}", (d, dh)) for h in range(H)],
-        wv=[mk(f"wv.{h}", (d, dh)) for h in range(H)],
-        wo=mk("wo", (d, d)),
-    )
+    return MhaParams(wq=mk("wq", (d, d)), wk=mk("wk", (d, d)),
+                     wv=mk("wv", (d, d)), wo=mk("wo", (d, d)), n_heads=H)
 
 
 def random_sab(d, H, hidden, seed=0):
@@ -209,6 +204,73 @@ class TestFusedAttentionAtModelShapes:
         qkv, _ = social_case()
         with pytest.raises(tx.ShapeError):
             masked_attention(*(DiffTensor(a) for a in qkv), np.zeros((3, 7)))
+
+
+def per_head_attention(q, k, v, m, heads):
+    """Reference for ``masked_attention(..., heads=H)``: the single-head op
+    run on each head's channel slice, outputs concatenated and weights
+    stacked on a head axis before the query axis."""
+    parts = [tx.split_axis(x, [x.shape[-1] // heads] * heads, axis=-1)
+             for x in (q, k, v)]
+    outs, weights = zip(*(masked_attention(qh, kh, vh, m)
+                          for qh, kh, vh in zip(*parts)))
+    return (tx.concat_axis(outs, axis=-1),
+            DiffTensor(np.stack([w.values for w in weights], axis=-3)))
+
+
+def merged(case, **kw):
+    """A model-shape case with heads merged into channels: [A x T x H*dh]
+    (temporal) or [T x A x H*dh] (social)."""
+    qkv, m = case(**kw)
+    return [np.concatenate(list(a), axis=-1) for a in qkv], m
+
+
+class TestHeadsInsideAttention:
+    @pytest.mark.parametrize("case", [temporal_case, social_case])
+    def test_matches_per_head_loop(self, case):
+        qkv, m = merged(case)
+        split = attention_grads(
+            lambda q, k, v, m: masked_attention(q, k, v, m, heads=4), qkv, m)
+        loop = attention_grads(
+            lambda q, k, v, m: per_head_attention(q, k, v, m, 4), qkv, m)
+        for name, a, b in zip(("out", "weights", "dq", "dk", "dv"),
+                              split, loop):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("case", [temporal_case, social_case])
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_gradient_fd(self, case, wrt):
+        qkv, m = merged(case, H=2, dh=3)
+        r = np.random.default_rng(44).normal(size=qkv[2].shape)
+
+        def f(x):
+            args = [DiffTensor(a) for a in qkv]
+            args[wrt] = x
+            out, _ = masked_attention(*args, m, heads=2)
+            return tx.mul(out, DiffTensor(r)).sum()
+
+        report = tx.grad_check(f, DiffTensor(qkv[wrt].copy()))
+        assert report.passed, report.max_rel_error
+
+    def test_fully_masked_rows_and_excluded_keys_are_exact_zeros(self):
+        qkv, m = merged(temporal_case)
+        out, w, dq, dk, dv = attention_grads(
+            lambda q, k, v, m: masked_attention(q, k, v, m, heads=4), qkv, m)
+        assert w.shape == (5, 4, 12, 12)
+        assert (w[1] == 0.0).all()
+        assert (out[1] == 0.0).all() and (dq[1] == 0.0).all()
+        assert (w[np.broadcast_to(m[:, None], w.shape) == 1.0] == 0.0).all()
+        key_out = np.broadcast_to(m[:, 0, :, None] == 1.0, dk.shape)
+        assert (dk[key_out] == 0.0).all() and (dv[key_out] == 0.0).all()
+
+    def test_multi_head_attention_is_five_tape_nodes(self):
+        p = random_mha(8, 2, seed=45)
+        x = DiffTensor(rnd((5, 3, 8), 46))
+        with Tape() as tape:
+            multi_head_attention(x, x, x, np.zeros((5, 1, 3)), p)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in tape.ops]
+        assert ops == ["matmul"] * 3 + ["masked_attention", "matmul"]
 
 
 class TestMultiHeadAttention:

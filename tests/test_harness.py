@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
-from settraj.errors import NumericsError
+from settraj.errors import DataError, NumericsError
 from settraj.harness import (
     AdamWState,
     Checkpoint,
@@ -250,6 +250,20 @@ class TestCheckpoint:
             np.testing.assert_array_equal(
                 p.tensor.values,
                 resumed.params.named_parameters()[k].tensor.values)
+
+    def test_version_1_archive_is_rejected(self, tiny_dataset, tmp_path):
+        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+        path = tmp_path / "model.npz"
+        ckpt.save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"][()]))
+        meta["version"] = 1
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DataError, match="version 1"):
+            Checkpoint.load(path)
 
     def test_parameter_count_matches_saved_entries(self, tiny_dataset,
                                                    tmp_path):

@@ -19,6 +19,7 @@ from settraj.model import (
     init_params,
     positional_encoding,
 )
+from settraj.tensor import xavier_normal_init
 
 TINY = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4,
                    input_channels=3)
@@ -230,10 +231,37 @@ class TestInitialization:
     def test_per_head_parameter_names(self):
         params = init_params(TINY, seed=22)
         names = set(params.named_parameters())
-        assert "encoder_c.sab_t1.mha.wq.0" in names
-        assert "encoder_f.sab_s.mha.wv.1" in names
+        assert "encoder_c.sab_t1.mha.wq" in names
+        assert "encoder_f.sab_s.mha.wv" in names
+        assert not any(n.startswith("encoder_c.sab_t1.mha.wq.") for n in names)
         assert "unc_theta" in names
         assert "cls_embedding" in names
+
+    def test_fused_weights_are_the_per_head_draws_concatenated(self):
+        # replay the draw order of one [d x d/H] matrix per head and per
+        # q/k/v, as the model drew them when heads were separate parameters
+        d, H, hidden, S = TINY.d, TINY.n_heads, TINY.sab_hidden, 4
+        rng = np.random.default_rng(24)
+        draw = lambda a, b, **kw: xavier_normal_init(a, b, rng, **kw)
+        expected = {"input_rffn.w1": draw(3, d), "input_rffn.w2": draw(d, d),
+                    "cls_embedding": draw(d, d, shape=(d,))}
+        for enc in ("encoder_c", "encoder_f"):
+            for sab in ("sab_t1", "sab_t2", "sab_s"):
+                pre = f"{enc}.{sab}"
+                for w in ("wq", "wk", "wv"):
+                    expected[f"{pre}.mha.{w}"] = np.concatenate(
+                        [draw(d, d // H) for _ in range(H)], axis=1)
+                expected[f"{pre}.mha.wo"] = draw(d, d)
+                expected[f"{pre}.rffn.w1"] = draw(d, hidden)
+                expected[f"{pre}.rffn.w2"] = draw(hidden, d)
+        expected["output_rffn.w1"] = draw(d, d)
+        expected["output_rffn.w2"] = draw(d, 2)
+        expected["classifier_rffn.w1"] = draw(d, d)
+        expected["classifier_rffn.w2"] = draw(d, S)
+        named = init_params(TINY, seed=24).named_parameters()
+        for name, values in expected.items():
+            np.testing.assert_array_equal(named[name].tensor.values, values,
+                                          err_msg=name)
 
     def test_restore_from_arrays_is_bit_exact(self):
         params = init_params(TINY, seed=23)
