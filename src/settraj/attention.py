@@ -20,7 +20,6 @@ from .tensor import (
     Parameter,
     ShapeError,
     _accum,
-    _check_finite,
     _emit,
     _rowdot,
     _unbroadcast,
@@ -102,17 +101,28 @@ def masked_attention(q, k, v, m: MaskLike = None, heads: int = 1):
         # A fully-excluded row keeps its logits so the softmax stays finite,
         # then is zeroed per the degenerate-row rule.
         dead = excluded.all(axis=-1, keepdims=True)
+        excluded &= ~dead
         try:
-            np.copyto(p, -np.inf, where=excluded & ~dead)
+            np.copyto(p, -np.inf, where=excluded)
         except ValueError as e:
             raise ShapeError(f"mask {mask.shape} does not broadcast to "
                              f"attention logits {p.shape}") from e
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= _rowdot(p, np.ones(p.shape[-1]))
+    # Unshifted softmax while every row sum is in [1e-200, 1e200]: each row's
+    # top logit is then in ~[-465, 460], so nothing overflowed and what
+    # underflowed weighs ~e^-244 of it or less. Else (or NaN) redo shifted.
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(p, out=p)
+        s = _rowdot(p, np.ones(p.shape[-1]))
+        if not ((s >= 1e-200) & (s <= 1e200)).all():
+            np.matmul(qh, np.swapaxes(kh, -1, -2), out=p)
+            if m is not None:
+                np.copyto(p, -np.inf, where=excluded)
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            s = _rowdot(p, np.ones(p.shape[-1]))
+        p *= 1.0 / s
     if m is not None and dead.any():
         np.copyto(p, 0.0, where=dead)
-    _check_finite(p, "masked_attention")
     o = merged_matmul(p, vh)
 
     def rule(g):
@@ -157,7 +167,10 @@ def multi_head_attention(q, k, v, m: MaskLike, p: MhaParams):
     """
     out, w = masked_attention(matmul(q, p.wq.tensor), matmul(k, p.wk.tensor),
                               matmul(v, p.wv.tensor), m, heads=p.n_heads)
-    w = w.values.mean(axis=-3) if p.n_heads > 1 else w.values
+    w, H = w.values, p.n_heads
+    if H > 1:  # the head average as one vector-matrix product
+        w = (np.full(H, 1.0 / H) @ w.reshape(w.shape[:-3] + (H, -1))
+             ).reshape(w.shape[:-3] + w.shape[-2:])
     return matmul(out, p.wo.tensor), w
 
 

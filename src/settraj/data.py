@@ -14,6 +14,7 @@ A sidecar ``<file>.meta.json`` records pitch dimensions and frame rate.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,7 +169,7 @@ def save_sequences(sequences: Sequence[TrajectorySequence], path) -> None:
             raise DataError("all sequences in one file must share frame rate "
                             "and pitch")
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for s in sequences:
@@ -186,7 +187,7 @@ def save_sequences(sequences: Sequence[TrajectorySequence], path) -> None:
     meta = {"frame_rate_hz": rate,
             "pitch": {"length": pitch.length, "width": pitch.width,
                       "unit": pitch.unit}}
-    _meta_path(path).write_text(json.dumps(meta, indent=2))
+    _meta_path(path).write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
 
 def load_sequences(path) -> list[TrajectorySequence]:
@@ -201,28 +202,36 @@ def load_sequences(path) -> list[TrajectorySequence]:
         raise DataError(f"no such file: {path}")
     meta_file = _meta_path(path)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        pitch = PitchSpec(**meta["pitch"])
-        rate = float(meta["frame_rate_hz"])
+        try:
+            meta = json.loads(meta_file.read_text(encoding="utf-8"))
+            pitch = PitchSpec(**meta["pitch"])
+            rate = float(meta["frame_rate_hz"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{meta_file}: bad metadata sidecar: {e!r}") from e
     else:
         pitch, rate = PitchSpec(), 6.25
 
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
     rows_by_seq: dict = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: line 1: empty file") from None
-        if header != _HEADER:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != _HEADER:  # also an empty file
             raise DataError(f"{path}: line 1: expected header "
                             f"{','.join(_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may span lines
             if len(row) != len(_HEADER):
                 raise DataError(f"{path}: line {lineno}: expected "
                                 f"{len(_HEADER)} fields, got {len(row)}")
             rec = _parse_row(row, path, lineno)
             rows_by_seq.setdefault(rec["seq_id"], []).append((lineno, rec))
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
 
     return [_assemble(seq_id, rows, path, pitch, rate)
             for seq_id, rows in rows_by_seq.items()]
@@ -313,15 +322,18 @@ def _assemble(seq_id, rows, path, pitch, rate) -> TrajectorySequence:
                         f"label while others have one")
 
     order = sorted(range(N), key=lambda n: (types[n], n))
-    return TrajectorySequence(
-        seq_id=seq_id,
-        positions=positions[:, order, :],
-        agent_types=types[order],
-        states=states if any_state else None,
-        validity=validity[:, order],
-        frame_rate_hz=rate,
-        pitch=pitch,
-    )
+    try:
+        return TrajectorySequence(
+            seq_id=seq_id,
+            positions=positions[:, order, :],
+            agent_types=types[order],
+            states=states if any_state else None,
+            validity=validity[:, order],
+            frame_rate_hz=rate,
+            pitch=pitch,
+        )
+    except DataError as e:  # e.g. two ball agents
+        raise DataError(f"{path}: sequence {seq_id}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

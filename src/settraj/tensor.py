@@ -268,10 +268,9 @@ def scale(x, c: float) -> DiffTensor:
 def relu(x) -> DiffTensor:
     x = as_tensor(x)
     out = np.maximum(x.values, 0.0)
-    mask = (x.values > 0.0).astype(np.float64)  # subgradient at 0 is 0
 
     def rule(g):
-        _accum(x, g * mask)
+        _accum(x, g * (out > 0.0))  # out > 0 iff x > 0; subgradient at 0 is 0
 
     return _emit(out, (x,), rule, "relu")
 

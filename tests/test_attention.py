@@ -1,8 +1,11 @@
 """Masked attention, multi-head attention and set attention blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from settraj import attention as attention_mod
 from settraj import tensor as tx
 from settraj.attention import (
     KeyMask,
@@ -317,6 +320,119 @@ class TestMultiHeadAttention:
         _, w = multi_head_attention(x, x, x, None, p)
         assert w.shape == (5, 5)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def logit_case(rows, keys, H=2, A=4, T=10, dh=8, seed=60):
+    """[H x A x T x dh] inputs with an [A x 1 x T] mask (agent 1 fully
+    excluded) whose logits are set by channel 0: query row (a, t) holds
+    ``rows[a] * 100 sqrt(dh)`` there and each key holds a draw from
+    ``keys[a]``, so a row's logits are about ``rows[a] * 100 * key``; the
+    other channels add logits of order one."""
+    rng = np.random.default_rng(seed)
+    qkv = [rng.normal(size=(H, A, T, dh)) for _ in range(3)]
+    for a in range(A):
+        qkv[0][:, a, :, 0] = rows[a] * 100.0 * np.sqrt(dh)
+        qkv[1][:, a, :, 0] = rng.uniform(*keys[a], size=(H, T))
+    m = (rng.uniform(size=(A, 1, T)) < 0.3).astype(float)
+    m[1] = 1.0
+    m[0] = 0.0
+    return qkv, m
+
+
+# (rows, keys) per agent; agent 1 is the fully excluded one
+LOGIT_CASES = {
+    # logits of order one: the unshifted softmax
+    "normal": ([0, 0, 0, 0], [(-1, 1)] * 4),
+    # every row spans about -1000..1000: exp overflows
+    "huge": ([1, 1, 1, 1], [(-10, 10)] * 4),
+    # every included logit is below -800: every row sum underflows to 0
+    "tiny": ([-1, -1, -1, -1], [(8.5, 10)] * 4),
+    # included logits near -720: the row sums are subnormal, and an
+    # unshifted softmax would keep only a few bits of each weight
+    "subnormal": ([-1, -1, -1, -1], [(7.1, 7.3)] * 4),
+    # normal rows and overflowing rows in one call
+    "mixed": ([0, 1, 0, 1], [(-10, 10)] * 4),
+    # only the fully excluded agent's (kept) logits are huge
+    "dead_huge": ([0, 1, 0, 0], [(-1, 1), (8, 10), (-1, 1), (-1, 1)]),
+}
+
+
+class TestSoftmaxPaths:
+    """The softmax runs unshifted while every row sum stays in [1e-200,
+    1e200] and falls back to the max-shifted form otherwise; both paths
+    must match the composed (always shifted) reference."""
+
+    def run_fused(self, qkv, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return attention_grads(masked_attention, qkv, m)
+
+    @pytest.mark.parametrize("name", sorted(LOGIT_CASES))
+    def test_matches_composed_ops(self, name):
+        qkv, m = logit_case(*LOGIT_CASES[name])
+        fused = self.run_fused(qkv, m)
+        reference = attention_grads(composed_attention, qkv, m)
+        # 1e-12 of each array's largest entry: channel 0 of q and k is in
+        # the hundreds here, and so are some entries of dq and dk
+        for label, a, b in zip(("out", "weights", "dq", "dk", "dv"),
+                               fused, reference):
+            assert np.isfinite(a).all(), label
+            np.testing.assert_allclose(
+                a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()),
+                err_msg=label)
+
+    @pytest.mark.parametrize("name,passes", [("normal", 1), ("huge", 2),
+                                             ("tiny", 2), ("subnormal", 2),
+                                             ("mixed", 2), ("dead_huge", 2)])
+    def test_shifted_pass_runs_only_out_of_range(self, name, passes,
+                                                 monkeypatch):
+        # each softmax pass takes its row sums with one _rowdot call
+        calls = []
+        rowdot = attention_mod._rowdot
+        monkeypatch.setattr(attention_mod, "_rowdot",
+                            lambda x, w: calls.append(1) or rowdot(x, w))
+        qkv, m = logit_case(*LOGIT_CASES[name])
+        masked_attention(*(DiffTensor(a) for a in qkv), m)
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("name", sorted(LOGIT_CASES))
+    def test_excluded_keys_and_dead_rows_are_exact_zeros(self, name):
+        qkv, m = logit_case(*LOGIT_CASES[name])
+        out, w, dq, dk, dv = self.run_fused(qkv, m)
+        assert (w[:, 1] == 0.0).all()
+        assert (out[:, 1] == 0.0).all() and (dq[:, 1] == 0.0).all()
+        assert (w[np.broadcast_to(m, w.shape) == 1.0] == 0.0).all()
+        key_out = np.broadcast_to(m[:, 0, :, None] == 1.0, dk.shape)
+        assert (dk[key_out] == 0.0).all() and (dv[key_out] == 0.0).all()
+        np.testing.assert_allclose(w[:, [0, 2, 3]].sum(axis=-1), 1.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(LOGIT_CASES))
+    def test_nan_query_raises(self, name):
+        qkv, m = logit_case(*LOGIT_CASES[name])
+        qkv[0][0, 0, 3, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tx.NumericsError, match="masked_attention"):
+                masked_attention(*(DiffTensor(a) for a in qkv), m)
+
+    @pytest.mark.parametrize("x_scale", [1.0, 30.0])
+    def test_head_average_is_the_mean_of_the_weights(self, x_scale):
+        # at x_scale 30 the logits are in the thousands: shifted path
+        p = random_mha(8, 4, seed=61)
+        x = DiffTensor(rnd((3, 6, 8), 62) * x_scale)
+        m = np.zeros((3, 1, 6))
+        m[1] = 1.0
+        m[0, 0, 2] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, w = multi_head_attention(x, x, x, m, p)
+            _, heads = masked_attention(
+                *(tx.matmul(x, p_.tensor) for p_ in (p.wq, p.wk, p.wv)), m,
+                heads=4)
+        assert heads.shape == (3, 4, 6, 6) and w.shape == (3, 6, 6)
+        np.testing.assert_allclose(w, heads.values.mean(axis=-3), rtol=0,
+                                   atol=1e-15)
 
 
 class TestSetAttentionBlock:

@@ -1,7 +1,11 @@
 """Dataset schema, CSV round-trips, normalization, generator, baseline."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from settraj.data import (
     PitchSpec,
@@ -153,6 +157,123 @@ class TestCsvSchemaErrors:
         p.write_text(self.header() + "\n0,0,0,0,1.0,2.0,1,9\n")
         with pytest.raises(DataError, match="line 2"):
             load_sequences(p)
+
+
+CSV_HEADER = b"seq_id,frame,agent_id,agent_type,x,y,valid,state\n"
+
+
+def write_rows(path, rows):
+    """A CSV of the header and ``rows`` (lists of cells), as UTF-8."""
+    body = "".join(",".join(r) + "\n" for r in rows)
+    path.write_bytes(CSV_HEADER + body.encode("utf-8"))
+
+
+class TestMalformedFiles:
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(CSV_HEADER + b"0,0,0,0,1.0,2.0,1,\n"
+                      b"0,1,0,0,1.0,\x802.0,1,\n")
+        with pytest.raises(DataError, match=r"bad\.csv: line 3: not UTF-8"):
+            load_sequences(p)
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(CSV_HEADER + b"0,0,0,0," + b"1" * 200_000 + b",2,1,\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_sequences(p)
+
+    def test_line_numbers_count_lines_inside_quoted_cells(self, tmp_path):
+        # the state cell of line 2 holds a line break, so the bad agent type
+        # sits on line 4 of the file, in its third record
+        p = tmp_path / "bad.csv"
+        p.write_bytes(CSV_HEADER + b'0,0,0,0,1,2,1,"1\n"\n0,0,1,9,3,4,1,\n')
+        with pytest.raises(DataError, match="line 4: agent_type"):
+            load_sequences(p)
+
+    def test_sequence_fault_names_the_sequence(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(CSV_HEADER + b"4,0,0,0,1,2,1,\n4,0,1,0,3,4,1,\n")
+        with pytest.raises(DataError,
+                           match=r"bad\.csv: sequence 4: at most one ball"):
+            load_sequences(p)
+
+    @pytest.mark.parametrize("sidecar", [
+        "{", "[]", '{"frame_rate_hz": 6.25}',
+        '{"frame_rate_hz": 6.25, "pitch": {"length": 1, "depth": 2}}',
+        '{"frame_rate_hz": "fast", "pitch": {}}',
+        '{"frame_rate_hz": 6.25, "pitch": {"length": -1}}',
+    ])
+    def test_bad_sidecar_is_named(self, tmp_path, sidecar):
+        p = tmp_path / "game.csv"
+        save_sequences([small_sequence()], p)
+        (tmp_path / "game.csv.meta.json").write_text(sidecar)
+        with pytest.raises(DataError, match=r"game\.csv\.meta\.json"):
+            load_sequences(p)
+
+
+# Cells that parse in surprising ways: empty, signs, spaces, NaN/inf,
+# overflowing floats, other digit scripts, quotes and separators.
+EDGE_CELLS = ["", "0", "1", "2", "3", "4", "-1", "-0", " 1", "1 ", "01",
+              "1_0", "1.0", "1e3", "nan", "NaN", "inf", "-inf", "1e309",
+              "-1e309", "0x1", "\uff11", "\u0661", "\u00e9", '"1"', '"', "a",
+              "1,0", "\r", "\x00", "99999999999999999999"]
+
+
+def valid_rows():
+    """Data rows of a valid two-frame, two-agent file, as cell lists."""
+    return [[str(c) for c in row] for row in (
+        (0, 0, 0, 0, 1.0, 2.0, 1, 1), (0, 0, 1, 1, 3.0, 4.0, 1, 1),
+        (0, 1, 0, 0, 1.5, 2.5, 1, 1), (0, 1, 1, 1, "", "", 0, 1))]
+
+
+def assert_loads_or_names_where(path):
+    """Loading yields sequences, or a DataError that names the file and the
+    line (or, for whole-sequence faults, the sequence) it concerns."""
+    try:
+        seqs = load_sequences(path)
+    except DataError as e:
+        assert re.match(re.escape(str(path)) + r": (line \d+|sequence -?\d+): ",
+                        str(e)), str(e)
+    else:
+        assert all(isinstance(s, TrajectorySequence) for s in seqs)
+
+
+class TestLoaderFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, body):
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        p.write_bytes(CSV_HEADER + body)
+        assert_loads_or_names_where(p)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(st.one_of(
+        st.lists(st.sampled_from(EDGE_CELLS), min_size=8, max_size=8),
+        st.lists(st.sampled_from(EDGE_CELLS), max_size=10)), max_size=6))
+    def test_rows_of_edge_cells(self, tmp_path_factory, rows):
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        write_rows(p, rows)
+        assert_loads_or_names_where(p)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7),
+                                    st.sampled_from(EDGE_CELLS)),
+                          min_size=1, max_size=3))
+    def test_valid_file_with_edited_cells(self, tmp_path_factory, edits):
+        rows = valid_rows()
+        for r, c, cell in edits:
+            rows[r][c] = cell
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        write_rows(p, rows)
+        assert_loads_or_names_where(p)
+
+    def test_valid_rows_load(self, tmp_path):
+        p = tmp_path / "f.csv"
+        write_rows(p, valid_rows())
+        (seq,) = load_sequences(p)
+        assert seq.positions.shape == (2, 2, 2)
+        assert np.isnan(seq.positions[1, 1]).all()
 
 
 class TestPossessionGenerator:

@@ -430,6 +430,14 @@ class TestCli:
                             str(tmp_path / "nope.csv"), "--out-dir",
                             str(tmp_path)) == 3
 
+    def test_non_utf8_data_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"seq_id,frame,agent_id,agent_type,x,y,valid,state"
+                         b"\n\x80\n")
+        assert self.run_cli("baseline", "--data", str(data), "--out-dir",
+                            str(tmp_path)) == 3
+        assert "error[data]" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"
         save_sequences(tiny_dataset, data)
