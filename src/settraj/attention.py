@@ -23,7 +23,6 @@ from .tensor import (
     _emit,
     _rowdot,
     _unbroadcast,
-    add,
     affine,
     as_tensor,
     layer_norm,
@@ -193,12 +192,12 @@ def set_attention_block(x, m: MaskLike, p: SabParams):
     """Pre-norm-free transformer encoder block without positional encoding.
 
     Computes ``LayerNorm(h + rFFN(h))`` with ``h = LayerNorm(x + MHA(x,x,x,m))``.
-    Permutation-equivariant over the set axis (second-to-last). Returns
-    ``(output, head_avg_weights)``.
+    Permutation-equivariant over the set axis (second-to-last); ten tape
+    nodes. Returns ``(output, head_avg_weights)``.
     """
     x = as_tensor(x)
     attn, weights = multi_head_attention(x, x, x, m, p.mha)
-    h = layer_norm(add(x, attn), p.ln1_gain, p.ln1_bias)
+    h = layer_norm(x, p.ln1_gain, p.ln1_bias, residual=attn)
     ff = affine(relu(affine(h, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
-    out = layer_norm(add(h, ff), p.ln2_gain, p.ln2_bias)
+    out = layer_norm(h, p.ln2_gain, p.ln2_bias, residual=ff)
     return out, weights

@@ -215,19 +215,19 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 
 
 def clip_gradients(grads: dict, threshold: float,
-                   mode: str = "norm") -> dict:
-    """Global-norm clipping (default): scale all gradients by
-    ``threshold / ||g||`` when the joint norm exceeds the threshold.
-    ``mode="value"`` clamps each entry to ``[-threshold, threshold]``."""
+                   mode: str = "norm") -> tuple[dict, float]:
+    """Global-norm clipping (default): scale all gradients by ``threshold /
+    ||g||`` when their joint norm ||g|| exceeds it; ``mode="value"`` clamps
+    each entry to ``[-threshold, threshold]``. Returns (gradients, ||g||)."""
     if threshold <= 0:
         raise ConfigError("clip threshold must be positive")
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if mode == "value":
-        return {k: np.clip(g, -threshold, threshold) for k, g in grads.items()}
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= threshold:
-        return grads
-    factor = threshold / total
-    return {k: g * factor for k, g in grads.items()}
+        return {k: np.clip(g, -threshold, threshold)
+                for k, g in grads.items()}, total
+    if total > threshold:
+        grads = {k: g * (threshold / total) for k, g in grads.items()}
+    return grads, total
 
 
 class AdamWState:
@@ -382,12 +382,15 @@ class StepLog:
     l_ade: float
     l_ce: float
     w1: float
+    grad_norm: float    # joint gradient norm before clipping
+    clip_factor: float  # global-norm clip scale: 1 = unclipped, nan = value mode
 
-    CSV_HEADER = "step,epoch,lr,loss,l_ade,l_ce,w1"
+    CSV_HEADER = "step,epoch,lr,loss,l_ade,l_ce,w1,grad_norm,clip_factor"
 
     def csv_row(self) -> str:
         return (f"{self.step},{self.epoch},{self.lr:.8f},{self.loss:.8f},"
-                f"{self.l_ade:.8f},{self.l_ce:.8f},{self.w1:.8f}")
+                f"{self.l_ade:.8f},{self.l_ce:.8f},{self.w1:.8f},"
+                f"{self.grad_norm:.8f},{self.clip_factor:.8f}")
 
 
 def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
@@ -455,8 +458,10 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
             for name, p in params.named_parameters().items():
                 grads[name] = (p.tensor.grad if p.tensor.grad is not None
                                else np.zeros_like(p.tensor.values))
-            grads = clip_gradients(grads, train_cfg.grad_clip_threshold,
-                                   train_cfg.clip_mode)
+            clip = train_cfg.grad_clip_threshold
+            grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
+            factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
+                      else float("nan"))
             step += 1
             eff_lr = lr
             if train_cfg.lr_warmup_steps > 0:
@@ -467,7 +472,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
                 loss=float(np.mean([r.total for r in reports])),
                 l_ade=float(np.mean([r.l_ade for r in reports])),
                 l_ce=float(np.mean([r.l_ce for r in reports])),
-                w1=reports[-1].w1_value,
+                w1=reports[-1].w1_value, grad_norm=norm, clip_factor=factor,
             ))
             if not np.isfinite(logs[-1].loss):
                 raise NumericsError(f"training diverged at step {step}")

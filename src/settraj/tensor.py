@@ -144,9 +144,9 @@ class Tape:
 def backward(loss: DiffTensor, tape: Tape) -> None:
     """Populate ``.grad`` for every tensor on ``tape`` reachable from ``loss``.
 
-    ``loss`` must be scalar. Gradients accumulate (+=) into any pre-existing
-    grads, which is what batched training relies on. Watched tensors that the
-    loss cannot reach end up with all-zero grads.
+    ``loss`` must be scalar. Gradients add onto any pre-existing grads, as new
+    read-only arrays, which is what batched training relies on. Watched
+    tensors that the loss cannot reach end up with all-zero grads.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -181,12 +181,14 @@ def _emit(values: np.ndarray, inputs: Sequence[DiffTensor],
 
 
 def _accum(t: DiffTensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        if g.shape != t.values.shape:
-            g = np.broadcast_to(g, t.values.shape)
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    # A first g is stored uncopied unless broadcast or 0-d, so a gradient may
+    # alias another (a view, or both inputs of ``add``): read-only, never written.
+    if t.grad is not None:
+        g = t.grad + g
+    if g.shape != t.values.shape or not g.ndim:
+        g = np.array(np.broadcast_to(g, t.values.shape))
+    g.flags.writeable = False
+    t.grad = g
 
 
 def _rowdot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -307,12 +309,8 @@ def tensor_sum(x, axis=None, keepdims: bool = False) -> DiffTensor:
     x = as_tensor(x)
     out = x.values.sum(axis=axis, keepdims=keepdims)
 
-    def rule(g):
-        if axis is None:
-            _accum(x, np.full_like(x.values, np.ravel(g)[0]))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(gg, x.values.shape).copy())
+    def rule(g):  # _accum materializes the broadcast
+        _accum(x, g if axis is None or keepdims else np.expand_dims(g, axis))
 
     return _emit(np.asarray(out), (x,), rule, "sum")
 
@@ -428,31 +426,43 @@ def softmax_rows(x) -> DiffTensor:
     return _emit(out, (x,), rule, "softmax_rows")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> DiffTensor:
-    """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, *, residual=None) -> DiffTensor:
+    """Normalize the last axis of ``x`` (of ``x + residual``, in one node) to
+    mean 0 / variance 1, then scale and shift."""
     x = as_tensor(x)
+    r = None if residual is None else as_tensor(residual)
     gvals = gain.tensor if isinstance(gain, Parameter) else as_tensor(gain)
     bvals = bias.tensor if isinstance(bias, Parameter) else as_tensor(bias)
     d = x.values.shape[-1]
     if gvals.values.shape != (d,) or bvals.values.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
+    if r is not None and r.values.shape != x.values.shape:
+        raise ShapeError(f"layer_norm: residual {r.shape} vs input {x.shape}")
+    xs = x.values if r is None else x.values + r.values
     inv_d = np.full(d, 1.0 / d)
-    centered = x.values - _rowdot(x.values, inv_d)
-    var = _rowdot(centered * centered, inv_d)
+    xhat = xs - _rowdot(xs, inv_d)
+    var = _rowdot(xhat * xhat, inv_d)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gvals.values + bvals.values
+    xhat *= inv_std
+    out = xhat * gvals.values
+    out += bvals.values
 
     def rule(g):
         g_flat = g.reshape(-1, d)
         ones = np.ones(g_flat.shape[0])
         _accum(gvals, ones @ (g_flat * xhat.reshape(-1, d)))
         _accum(bvals, ones @ g_flat)
-        gx = g * gvals.values
-        _accum(x, inv_std * (gx - _rowdot(gx, inv_d)
-                             - xhat * _rowdot(gx * xhat, inv_d)))
+        gin = g * gvals.values
+        t = gin * xhat
+        gin -= _rowdot(gin, inv_d)
+        gin -= np.multiply(xhat, _rowdot(t, inv_d), out=t)
+        gin *= inv_std
+        _accum(x, gin)
+        if r is not None:
+            _accum(r, gin)
 
-    return _emit(out, (x, gvals, bvals), rule, "layer_norm")
+    inputs = (x, gvals, bvals) if r is None else (x, gvals, bvals, r)
+    return _emit(out, inputs, rule, "layer_norm")
 
 
 def affine(x, w, b) -> DiffTensor:
@@ -464,7 +474,8 @@ def affine(x, w, b) -> DiffTensor:
         raise ShapeError(f"affine: input dim {x.shape} vs weight {wt.shape}")
     if bt.values.shape != (wt.values.shape[1],):
         raise ShapeError(f"affine: bias {bt.shape} vs weight {wt.shape}")
-    out = x.values @ wt.values + bt.values
+    out = x.values @ wt.values
+    out += bt.values
 
     def rule(g):
         lead_flat = g.reshape(-1, g.shape[-1])

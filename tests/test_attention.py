@@ -469,6 +469,35 @@ class TestSetAttentionBlock:
 
         assert tx.grad_check(f, DiffTensor(rnd((3, 8), 30))).passed
 
+    def test_is_ten_tape_nodes(self):
+        p = random_sab(8, 2, 16, seed=33)
+        x = DiffTensor(rnd((5, 3, 8), 34))
+        with Tape() as tape:
+            set_attention_block(x, np.zeros((5, 1, 3)), p)
+        ops = [rule.__qualname__.split(".")[0] for _, _, rule in tape.ops]
+        assert ops == (["matmul"] * 3 + ["masked_attention", "matmul",
+                                         "layer_norm", "affine", "relu",
+                                         "affine", "layer_norm"])
+
+    def test_desk_training_tape_has_102_nodes(self, monkeypatch):
+        from settraj import harness, model
+        from settraj.data import generate_possession_game
+        cfg = model.ModelConfig(d=32, n_heads=4, sab_hidden=64)
+        seq = generate_possession_game(1, 12, 2, rng_seed=35)[0]
+        task = harness.TaskSpec(kind="forecasting", predicted="players",
+                                t_hat=4)
+        sizes = []
+
+        def counting_backward(loss, tape):
+            sizes.append(len(tape.ops))
+            backward(loss, tape)
+
+        monkeypatch.setattr(harness, "backward", counting_backward)
+        params = model.init_params(cfg, seed=36)
+        harness._train_step(seq, harness.build_masks([seq], task, 0)[0], cfg,
+                            params, 1)
+        assert sizes == [102]
+
     def test_fully_masked_agent_passes_residual(self):
         # with all keys excluded the attention adds zero; the block reduces
         # to the layer-norm/feed-forward pipeline of the input row

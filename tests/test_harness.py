@@ -104,35 +104,41 @@ class TestSchedule:
 class TestClipping:
     def test_below_threshold_unchanged(self):
         g = {"a": np.array([3.0])}
-        out = clip_gradients(g, 5.0)
+        out, _ = clip_gradients(g, 5.0)
         np.testing.assert_array_equal(out["a"], [3.0])
 
     def test_norm_halved(self):
         g = {"a": np.array([6.0, 8.0])}
-        out = clip_gradients(g, 5.0)
+        out, _ = clip_gradients(g, 5.0)
         np.testing.assert_allclose(np.linalg.norm(out["a"]), 5.0)
 
     def test_global_norm_spans_parameters(self):
         g = {"a": np.array([3.0]), "b": np.array([4.0])}
-        out = clip_gradients(g, 2.5)
+        out, _ = clip_gradients(g, 2.5)
         total = np.sqrt(sum(float((v * v).sum()) for v in out.values()))
         np.testing.assert_allclose(total, 2.5)
 
     def test_zero_grads_unchanged(self):
         g = {"a": np.zeros(3)}
-        np.testing.assert_array_equal(clip_gradients(g, 5.0)["a"],
+        np.testing.assert_array_equal(clip_gradients(g, 5.0)[0]["a"],
                                       np.zeros(3))
 
     def test_value_mode(self):
         g = {"a": np.array([-9.0, 0.5])}
-        out = clip_gradients(g, 2.0, mode="value")
+        out, _ = clip_gradients(g, 2.0, mode="value")
         np.testing.assert_array_equal(out["a"], [-2.0, 0.5])
+
+    @pytest.mark.parametrize("mode", ["norm", "value"])
+    def test_returns_norm_before_clipping(self, mode):
+        g = {"a": np.array([6.0, 8.0]), "b": np.array([0.0])}
+        assert clip_gradients(g, 1.0, mode=mode)[1] == 10.0
+        assert clip_gradients(g, 50.0, mode=mode)[1] == 10.0
 
     def test_clip_never_grows_norm(self):
         rng = np.random.default_rng(6)
         g = {"a": rng.normal(size=7), "b": rng.normal(size=3)}
         before = np.sqrt(sum(float((v * v).sum()) for v in g.values()))
-        out = clip_gradients(g, 1.0)
+        out, _ = clip_gradients(g, 1.0)
         after = np.sqrt(sum(float((v * v).sum()) for v in out.values()))
         assert after <= before + 1e-12
 
@@ -218,6 +224,21 @@ class TestTrainLoop:
         for k, p in a.params.named_parameters().items():
             np.testing.assert_array_equal(
                 p.tensor.values, b.params.named_parameters()[k].tensor.values)
+
+    def test_step_log_explains_clipping(self, tiny_dataset, tmp_path):
+        _, logs = train(tiny_dataset, TINY_MODEL,
+                        tiny_train_cfg(grad_clip_threshold=0.05),
+                        out_dir=tmp_path)
+        factors = [l.clip_factor for l in logs]
+        assert factors == [1.0 if l.grad_norm <= 0.05 else 0.05 / l.grad_norm
+                           for l in logs]
+        assert min(factors) < 1.0 and all(l.grad_norm > 0.0 for l in logs)
+        rows = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert rows[0].endswith(",grad_norm,clip_factor")
+        assert rows[1].endswith(f",{logs[0].grad_norm:.8f},{factors[0]:.8f}")
+        _, logs = train(tiny_dataset, TINY_MODEL,
+                        tiny_train_cfg(clip_mode="value"), max_steps=1)
+        assert np.isnan(logs[0].clip_factor) and logs[0].grad_norm > 0.0
 
     def test_max_steps(self, tiny_dataset):
         ckpt, logs = train(tiny_dataset, TINY_MODEL,

@@ -108,6 +108,57 @@ class TestLayerNorm:
         assert tx.grad_check(wrt_gain, tx.DiffTensor(g0)).passed
 
 
+def residual_ln_case(shape, seed):
+    """x, residual, gain, bias and an output weighting R for one layer norm
+    over the last axis of ``shape``."""
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    return (rng.normal(size=shape), rng.normal(size=shape),
+            1.0 + 0.1 * rng.normal(size=d), 0.1 * rng.normal(size=d),
+            rng.normal(size=shape))
+
+
+class TestResidualLayerNorm:
+    @pytest.mark.parametrize("shape", [(5, 12, 8), (12, 5, 8)],
+                             ids=["temporal", "social"])
+    def test_bit_exact_against_add_then_layer_norm(self, shape):
+        x0, r0, g0, b0, w = residual_ln_case(shape, 70)
+        runs = []
+        for fused in (True, False):
+            x, r, g, b = (tx.DiffTensor(a.copy()) for a in (x0, r0, g0, b0))
+            with tx.Tape() as tape:
+                if fused:
+                    out = tx.layer_norm(x, g, b, residual=r)
+                else:
+                    out = tx.layer_norm(tx.add(x, r), g, b)
+                tx.backward(tx.mul(out, tx.DiffTensor(w)).sum(), tape)
+            runs.append((out.values, x.grad, r.grad, g.grad, b.grad))
+        for name, a, c in zip(("out", "dx", "dresidual", "dgain", "dbias"),
+                              *runs):
+            np.testing.assert_array_equal(a, c, err_msg=name)
+
+    @pytest.mark.parametrize("wrt", range(4))
+    def test_gradient_fd_all_inputs(self, wrt):
+        case = residual_ln_case((2, 3, 4), 71)
+        w = tx.DiffTensor(case[-1])
+
+        def f(t):
+            args = [tx.DiffTensor(a) for a in case[:4]]
+            args[wrt] = t
+            x, r, g, b = args
+            return tx.mul(tx.layer_norm(x, g, b, residual=r), w).sum()
+
+        report = tx.grad_check(f, tx.DiffTensor(case[wrt].copy()))
+        assert report.passed, report.max_rel_error
+
+    def test_residual_shape_must_match(self):
+        x0, _, g0, b0, _ = residual_ln_case((2, 3, 4), 72)
+        with pytest.raises(ShapeError):
+            tx.layer_norm(tx.DiffTensor(x0), tx.DiffTensor(g0),
+                          tx.DiffTensor(b0),
+                          residual=tx.DiffTensor(np.ones((1, 3, 4))))
+
+
 class TestAffine:
     def test_identity_weights(self):
         x = rnd((3, 2))
@@ -224,6 +275,104 @@ class TestBackward:
             kept = out.values.copy()
             tx.backward(out.sum(), tape)
         np.testing.assert_array_equal(out.values, kept)
+
+
+def copying_accum(t, g):
+    """Reference accumulation: copy the first contribution, add later ones
+    in place."""
+    if t.grad is None:
+        if g.shape != t.values.shape:
+            g = np.broadcast_to(g, t.values.shape)
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def composed_sab(x, m, p):
+    """Reference set attention block: each residual as an ``add`` node
+    before its layer norm."""
+    from settraj.attention import multi_head_attention
+    x = tx.as_tensor(x)
+    attn, weights = multi_head_attention(x, x, x, m, p.mha)
+    h = tx.layer_norm(tx.add(x, attn), p.ln1_gain, p.ln1_bias)
+    ff = tx.affine(tx.relu(tx.affine(h, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
+    return tx.layer_norm(tx.add(h, ff), p.ln2_gain, p.ln2_bias), weights
+
+
+class TestCopyFreeAccumulation:
+    def test_fan_out_through_aliased_gradients(self):
+        # x and y each get a first gradient that is shared (add) or a view
+        # (transpose, reshape, concat), then more contributions; written in
+        # place, those would corrupt the stored arrays they alias.
+        x, y = tx.DiffTensor(rnd((2, 3), 80)), tx.DiffTensor(rnd((2, 3), 81))
+        factor = rnd((2, 3), 90)
+        wc, wt, wr, w1, w2, wa, wb = (rnd(s, 82 + i) for i, s in enumerate(
+            [(2, 3), (3, 2), (3, 2), (1, 3), (3, 3), (2, 3), (2, 3)]))
+        with tx.Tape() as tape:
+            c = tx.mul(y, tx.DiffTensor(factor))
+            t = tx.transpose(x)
+            r = tx.reshape(x, (3, 2))
+            s = tx.concat_axis([x, y], axis=0)
+            p1, p2 = tx.split_axis(s, [1, 3], axis=0)
+            a = tx.add(x, x)
+            b = tx.add(x, y)
+            terms = [tx.mul(u, tx.DiffTensor(w)).sum() for u, w in
+                     ((c, wc), (t, wt), (r, wr), (p1, w1), (p2, w2),
+                      (a, wa), (b, wb))]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = tx.add(loss, term)
+            tx.backward(loss, tape)
+        ws = np.concatenate([w1, w2])
+        for u, want in ((c, wc), (t, wt), (r, wr), (s, ws), (a, wa), (b, wb)):
+            np.testing.assert_array_equal(u.grad, want)
+        np.testing.assert_allclose(
+            x.grad, wt.T + wr.reshape(2, 3) + ws[:2] + 2.0 * wa + wb,
+            rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            y.grad, wc * factor + ws[2:] + wb, rtol=1e-13, atol=1e-13)
+
+    def test_gradients_are_read_only(self):
+        w = tx.Parameter("w", tx.DiffTensor(rnd((3, 2), 91)))
+        x = tx.DiffTensor(rnd((4, 3), 92))
+        for _ in range(2):  # the first contribution, then a sum
+            with tx.Tape() as tape:
+                tx.backward(tx.matmul(x, w.tensor).sum(), tape)
+            with pytest.raises(ValueError):
+                w.tensor.grad += 1.0
+            with pytest.raises(ValueError):
+                w.tensor.grad[0, 0] = 0.0
+        np.testing.assert_allclose(w.tensor.grad,
+                                   2.0 * x.values.sum(axis=0)[:, None]
+                                   * np.ones((3, 2)))
+
+    def test_train_step_bit_identical_to_copying_reference(self,
+                                                           monkeypatch):
+        from settraj import attention, harness, model
+        from settraj.data import generate_possession_game
+        cfg = model.ModelConfig(d=32, n_heads=4, sab_hidden=64)
+        seqs = generate_possession_game(2, 12, 2, rng_seed=93)
+        task = harness.TaskSpec(kind="forecasting", predicted="players",
+                                t_hat=4)
+        masks = harness.build_masks(seqs, task, 0, epoch=0)
+
+        def grads():
+            params = model.init_params(cfg, seed=94)
+            params.zero_grad()
+            for seq, mask in zip(seqs, masks):
+                harness._train_step(seq, mask, cfg, params, 2)
+            return {k: p.tensor.grad
+                    for k, p in params.named_parameters().items()}
+
+        new = grads()
+        monkeypatch.setattr(tx, "_accum", copying_accum)
+        monkeypatch.setattr(attention, "_accum", copying_accum)
+        monkeypatch.setattr(model, "set_attention_block", composed_sab)
+        ref = grads()
+        assert ref.keys() == new.keys()
+        for k, g in ref.items():
+            assert g.flags.writeable and not new[k].flags.writeable
+            np.testing.assert_array_equal(new[k], g, err_msg=k)
 
 
 class TestGradCheck:
