@@ -16,7 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import os
+from collections import Counter
+from contextlib import ExitStack, contextmanager
+from dataclasses import asdict, dataclass, field
+from itertools import repeat, zip_longest
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -158,8 +162,26 @@ def _meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary sibling of ``path`` for writing; it replaces ``path``
+    when the block ends and is removed when the block raises, so a crash
+    leaves the previous file or the new one, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_sequences(sequences: Sequence[TrajectorySequence], path) -> None:
-    """Write sequences to one CSV file (plus a metadata sidecar)."""
+    """Write sequences to one CSV file (plus a metadata sidecar), each file
+    with :func:`atomic_write`; a sidecar that already holds the same bytes is
+    left as it is. Sequence ids must differ: loading groups rows by id."""
     if not sequences:
         raise DataError("refusing to save an empty sequence list")
     rate = sequences[0].frame_rate_hz
@@ -168,26 +190,37 @@ def save_sequences(sequences: Sequence[TrajectorySequence], path) -> None:
         if s.frame_rate_hz != rate or s.pitch != pitch:
             raise DataError("all sequences in one file must share frame rate "
                             "and pitch")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for s in sequences:
-            for t in range(s.T):
-                state = "" if s.states is None else str(int(s.states[t]))
-                for n in range(s.N):
-                    valid = int(s.validity[t, n])
-                    if np.isfinite(s.positions[t, n]).all():
-                        x, y = (f"{s.positions[t, n, 0]:.6f}",
-                                f"{s.positions[t, n, 1]:.6f}")
-                    else:
-                        x, y = "", ""
-                    writer.writerow([s.seq_id, t, n, int(s.agent_types[n]),
-                                     x, y, valid, state])
-    meta = {"frame_rate_hz": rate,
-            "pitch": {"length": pitch.length, "width": pitch.width,
-                      "unit": pitch.unit}}
-    _meta_path(path).write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    for seq_id, count in Counter(s.seq_id for s in sequences).items():
+        if count > 1:
+            raise DataError(f"{path}: seq_id {seq_id} is used by {count} "
+                            f"sequences")
+    meta = json.dumps({"frame_rate_hz": rate, "pitch": asdict(pitch)},
+                      indent=2)
+    meta_file = _meta_path(path)
+    try:  # a sidecar that already holds these bytes is left as it is
+        stale = meta_file.read_bytes() != meta.encode()
+    except FileNotFoundError:
+        stale = True
+    with ExitStack() as files:  # both files are replaced only once written
+        fh = files.enter_context(atomic_write(path, newline="",
+                                              encoding="utf-8"))
+        fh.write(",".join(_HEADER) + "\r\n")
+        for s in sequences:  # rows as csv.writer writes them, frame-major
+            T, N = s.T, s.N
+            xy = list(map("{:.6f},{:.6f}".format,
+                          *s.positions.reshape(-1, 2).T.tolist()))
+            for i in np.flatnonzero(~np.isfinite(s.positions).all(axis=2)):
+                xy[i] = ","  # both cells empty where either is not finite
+            states = repeat("") if s.states is None else \
+                np.repeat(s.states, N).tolist()
+            fh.write("".join(map(
+                "{},{},{},{},{},{},{}\r\n".format, repeat(s.seq_id),
+                np.repeat(np.arange(T), N).tolist(), list(range(N)) * T,
+                s.agent_types.tolist() * T, xy, s.validity.ravel().tolist(),
+                states)))
+        if stale:
+            files.enter_context(atomic_write(meta_file, encoding="utf-8")
+                                ).write(meta)
 
 
 def load_sequences(path) -> list[TrajectorySequence]:
@@ -195,7 +228,8 @@ def load_sequences(path) -> list[TrajectorySequence]:
 
     Agents are reordered at load time to the standard layout: ball first,
     then offense, then defense, each sorted by original agent id; ids are
-    remapped to 0..N-1 accordingly.
+    remapped to 0..N-1 accordingly. Cells are checked a column at a time, but
+    the error raised is the first one a row-by-row reading would meet.
     """
     path = Path(path)
     if not path.exists():
@@ -217,123 +251,158 @@ def load_sequences(path) -> list[TrajectorySequence]:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}: line {line}: not UTF-8 text") from None
-    rows_by_seq: dict = {}
     reader = csv.reader(io.StringIO(text, newline=""))
+    # (record, its last line): a quoted cell may span lines. On a tokenizer
+    # error, list.extend keeps the records read before it.
+    records, fault = [], None
     try:
         if next(reader, None) != _HEADER:  # also an empty file
             raise DataError(f"{path}: line 1: expected header "
                             f"{','.join(_HEADER)!r}")
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may span lines
-            if len(row) != len(_HEADER):
-                raise DataError(f"{path}: line {lineno}: expected "
-                                f"{len(_HEADER)} fields, got {len(row)}")
-            rec = _parse_row(row, path, lineno)
-            rows_by_seq.setdefault(rec["seq_id"], []).append((lineno, rec))
+        records.extend(zip(reader, map(getattr, repeat(reader),
+                                       repeat("line_num"))))
     except csv.Error as e:
-        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+        fault = f"line {reader.line_num}: {e}"
+    records, lines = zip(*records) if records else ((), ())
+    cols = _parse_records(records, lines, fault, path)
+    number = {}  # seq_id -> its place in the file
+    place = {c: number.setdefault(int(c), len(number))
+             for c in dict.fromkeys(cols["seq_id"])}
+    seq = np.fromiter(map(place.__getitem__, cols["seq_id"]), np.intp,
+                      len(lines))
+    ends = np.cumsum(np.bincount(seq, minlength=len(number)))
+    return [_assemble(seq_id, rows, cols, path, pitch, rate) for seq_id, rows
+            in zip(number, np.split(np.argsort(seq, kind="stable"), ends))]
 
-    return [_assemble(seq_id, rows, path, pitch, rate)
-            for seq_id, rows in rows_by_seq.items()]
+
+def _parse_records(records, lines, fault, path) -> dict:
+    """The records as columns. Each rule a record must keep is a boolean
+    column; the first record that breaks one, and on it the first rule,
+    give the error raised, else ``fault`` (a tokenizer error after them)."""
+    n = len(records)
+    width = np.fromiter(map(len, records), np.intp, n)
+    cells = list(zip_longest(*records, fillvalue=""))[:len(_HEADER)]
+    cells += [("",) * n] * (len(_HEADER) - len(cells))  # a record too short
+    seq_c, frame_c, agent_c, type_c, x_c, y_c, valid_c, state_c = cells
+    (_, bad_id), (frames, bad_frame), (agents, bad_agent), \
+        (types, bad_type) = (_column(int, c, np.int64) for c in cells[:4])
+    states, bad_state = _column(int, state_c, np.int64, empty="0")
+    (x, bad_x), (y, bad_y) = (_column(float, c, np.float64, empty="nan")
+                              for c in (x_c, y_c))
+    has_x, has_y, labeled = (np.fromiter(map(bool, c), bool, n)
+                             for c in (x_c, y_c, state_c))
+    valid = np.fromiter(map({"0": 0, "1": 1}.get, valid_c, repeat(-1)),
+                        np.int8, n)
+    rules = [  # in the order a row is checked
+        (width != len(_HEADER),
+         f"expected {len(_HEADER)} fields, got {{width}}"),
+        (bad_id | bad_frame | bad_agent | bad_type,
+         "seq_id, frame, agent_id and agent_type must be integers"),
+        ((types < BALL) | (types > DEFENSE),
+         "agent_type {agent_type} not in {{0, 1, 2}}"),
+        (valid < 0, "valid must be 0 or 1, got {valid!r}"),
+        (has_x != has_y, "x and y must both be present or both empty"),
+        (~has_x & (valid == 1), "valid rows need position values"),
+        (bad_x | bad_y, "positions must be numeric, got ({x!r}, {y!r})"),
+        ((valid == 1) & ~(np.isfinite(x) & np.isfinite(y)),
+         "valid rows need finite positions"),
+        (labeled & bad_state, "state must be an integer or empty, got "
+                              "{state!r}"),
+        (labeled & ((states < 0) | (states >= len(STATE_NAMES))),
+         f"state {{state}} not in 0..{len(STATE_NAMES) - 1}")]
+    broken = np.stack([bad for bad, _ in rules])
+    hit = np.flatnonzero(broken.any(axis=0))
+    if hit.size:
+        i = int(hit[0])
+        msg = rules[int(np.argmax(broken[:, i]))][1]
+        fault = f"line {lines[i]}: " + msg.format(
+            width=width[i], **dict(zip(_HEADER, records[i])))
+    if fault is not None:
+        raise DataError(f"{path}: {fault}")
+    return {"seq_id": seq_c, "frame": frames, "frame_cells": frame_c,
+            "agent_id": agents, "agent_type": types, "x": x, "y": y,
+            "valid": valid, "labeled": labeled, "state": states,
+            "line": lines}
 
 
-def _parse_row(row, path, lineno) -> dict:
-    def fail(msg):
-        raise DataError(f"{path}: line {lineno}: {msg}")
-
-    seq_id, frame, agent_id, agent_type, x, y, valid, state = row
+def _column(fn, cells, dtype, empty=None):
+    """Python's ``fn`` of each cell (of ``empty`` for an empty one) as a
+    ``dtype`` column, and the boolean column of the cells it rejects (valued
+    0). An int beyond int64, so beyond every valid range, becomes -1."""
+    if empty is not None:
+        cells = list(map({"": empty}.get, cells, cells))
+    n = len(cells)
     try:
-        rec = {"seq_id": int(seq_id), "frame": int(frame),
-               "agent_id": int(agent_id), "agent_type": int(agent_type)}
-    except ValueError:
-        fail("seq_id, frame, agent_id and agent_type must be integers")
-    if rec["agent_type"] not in (BALL, OFFENSE, DEFENSE):
-        fail(f"agent_type {agent_type} not in {{0, 1, 2}}")
-    if valid not in ("0", "1"):
-        fail(f"valid must be 0 or 1, got {valid!r}")
-    rec["valid"] = int(valid)
-    if (x == "") != (y == ""):
-        fail("x and y must both be present or both empty")
-    if x == "":
-        if rec["valid"]:
-            fail("valid rows need position values")
-        rec["x"], rec["y"] = np.nan, np.nan
-    else:
-        try:
-            rec["x"], rec["y"] = float(x), float(y)
-        except ValueError:
-            fail(f"positions must be numeric, got ({x!r}, {y!r})")
-        if rec["valid"] and not (np.isfinite(rec["x"]) and np.isfinite(rec["y"])):
-            fail("valid rows need finite positions")
-    if state == "":
-        rec["state"] = None
-    else:
-        try:
-            rec["state"] = int(state)
-        except ValueError:
-            fail(f"state must be an integer or empty, got {state!r}")
-        if rec["state"] not in range(len(STATE_NAMES)):
-            fail(f"state {state} not in 0..{len(STATE_NAMES) - 1}")
-    return rec
+        return np.fromiter(map(fn, cells), dtype, n), np.zeros(n, dtype=bool)
+    except (ValueError, OverflowError):
+        values, rejected = np.zeros(n, dtype), np.zeros(n, dtype=bool)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = fn(cell)
+            except ValueError:
+                rejected[i] = True
+            except OverflowError:
+                values[i] = -1
+        return values, rejected
 
 
-def _assemble(seq_id, rows, path, pitch, rate) -> TrajectorySequence:
-    frames = sorted({r["frame"] for _, r in rows})
-    agents = sorted({r["agent_id"] for _, r in rows})
-    T, N = len(frames), len(agents)
-    if frames != list(range(T)):
-        raise DataError(f"{path}: sequence {seq_id}: frames must cover "
-                        f"0..T-1, got {frames[:5]}...")
-    if agents != list(range(N)):
-        raise DataError(f"{path}: sequence {seq_id}: agent ids must cover "
-                        f"0..N-1")
-    positions = np.full((T, N, 2), np.nan)
-    validity = np.zeros((T, N), dtype=np.int8)
-    types = np.full(N, -1, dtype=np.int64)
-    states = np.full(T, -1, dtype=np.int64)
-    seen = np.zeros((T, N), dtype=bool)
-    any_state = False
-    for lineno, r in rows:
-        t, n = r["frame"], r["agent_id"]
-        if seen[t, n]:
-            raise DataError(f"{path}: line {lineno}: duplicate entry for "
-                            f"frame {t}, agent {n}")
-        seen[t, n] = True
-        positions[t, n] = (r["x"], r["y"])
-        validity[t, n] = r["valid"]
-        if types[n] == -1:
-            types[n] = r["agent_type"]
-        elif types[n] != r["agent_type"]:
-            raise DataError(f"{path}: line {lineno}: agent {n} changes type")
-        if r["state"] is not None:
-            any_state = True
-            if states[t] == -1:
-                states[t] = r["state"]
-            elif states[t] != r["state"]:
-                raise DataError(f"{path}: line {lineno}: conflicting state "
-                                f"labels at frame {t}")
-    if not seen.all():
-        t, n = np.argwhere(~seen)[0]
-        raise DataError(f"{path}: sequence {seq_id}: missing entry for "
-                        f"frame {t}, agent {n}")
-    if any_state and (states == -1).any():
-        t = int(np.flatnonzero(states == -1)[0])
-        raise DataError(f"{path}: sequence {seq_id}: frame {t} lacks a state "
-                        f"label while others have one")
+def _first_of(ids: np.ndarray) -> np.ndarray:
+    """For each entry, the index of the first entry equal to it."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return first[inverse]
 
-    order = sorted(range(N), key=lambda n: (types[n], n))
+
+def _assemble(seq_id, rows, cols, path, pitch, rate) -> TrajectorySequence:
+    """Scatter one sequence's rows (indices into ``cols``, in file order)
+    into [T x N] arrays, raising faults in the order a row-by-row scatter
+    meets them."""
+    where = f"{path}: sequence {seq_id}"
+    f, a = cols["frame"][rows], cols["agent_id"][rows]
+    # Range first: no count or array is sized by a value beyond the rows.
+    if f.min() != 0 or f.max() >= rows.size or not np.bincount(f).all():
+        frames = sorted({int(cols["frame_cells"][i]) for i in rows.tolist()})
+        raise DataError(f"{where}: frames must cover 0..T-1, got "
+                        f"{frames[:5]}...")
+    if a.min() != 0 or a.max() >= rows.size or not np.bincount(a).all():
+        raise DataError(f"{where}: agent ids must cover 0..N-1")
+    T, N = int(f.max()) + 1, int(a.max()) + 1
+    key, own = f * N + a, np.arange(rows.size)
+    types, states = cols["agent_type"][rows], cols["state"][rows]
+    labeled = np.flatnonzero(cols["labeled"][rows])
+    label_of = own.copy()
+    label_of[labeled] = labeled[_first_of(f[labeled])]
+    broken = np.stack([_first_of(key) != own, types != types[_first_of(a)],
+                       states != states[label_of]])
+    hit = np.flatnonzero(broken.any(axis=0))
+    if hit.size:
+        i = int(hit[0])
+        msg = (f"duplicate entry for frame {f[i]}, agent {a[i]}",
+               f"agent {a[i]} changes type",
+               f"conflicting state labels at frame {f[i]}",
+               )[int(np.argmax(broken[:, i]))]
+        raise DataError(f"{path}: line {cols['line'][rows[i]]}: {msg}")
+    if rows.size < T * N:  # no entry repeats, so one is missing
+        k = int(np.argmax(np.append(np.sort(key) != own, True)))
+        raise DataError(f"{where}: missing entry for frame {k // N}, "
+                        f"agent {k % N}")
+    labels = np.full(T, -1, dtype=np.int64)
+    labels[f[labeled]] = states[labeled]
+    if labeled.size and labels.min() < 0:
+        raise DataError(f"{where}: frame {int(np.argmin(labels))} lacks a "
+                        f"state label while others have one")
+    positions = np.empty((T, N, 2))
+    positions[f, a] = np.stack([cols["x"][rows], cols["y"][rows]], axis=1)
+    validity = np.empty((T, N), dtype=np.int8)
+    validity[f, a] = cols["valid"][rows]
+    agent_types = np.empty(N, dtype=np.int64)
+    agent_types[a] = types
+    order = np.argsort(agent_types, kind="stable")
     try:
         return TrajectorySequence(
-            seq_id=seq_id,
-            positions=positions[:, order, :],
-            agent_types=types[order],
-            states=states if any_state else None,
-            validity=validity[:, order],
-            frame_rate_hz=rate,
-            pitch=pitch,
-        )
+            seq_id, positions[:, order], agent_types[order],
+            labels if labeled.size else None, validity[:, order], rate, pitch)
     except DataError as e:  # e.g. two ball agents
-        raise DataError(f"{path}: sequence {seq_id}: {e}") from None
+        raise DataError(f"{where}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import TrajectorySequence, denormalize, normalize, velocity_baseline
+from .data import (TrajectorySequence, atomic_write, denormalize, normalize,
+                   velocity_baseline)
 from .errors import ConfigError, DataError, NumericsError
 from .masking import (
     ObservationMask,
@@ -284,10 +284,8 @@ class Checkpoint:
         """Single .npz container: named parameter/moment arrays plus a JSON
         metadata blob. Float64 arrays round-trip bit-exactly.
 
-        The write is atomic: the archive goes to a temporary sibling that
-        then replaces ``path``, so a crash leaves either the previous file or
-        the new one, never a partial one. ``path`` is used exactly as given
-        (no ``.npz`` suffix is appended)."""
+        The write is atomic (:func:`~settraj.data.atomic_write`). ``path`` is
+        used exactly as given (no ``.npz`` suffix is appended)."""
         arrays = {}
         for name, p in self.params.named_parameters().items():
             arrays[f"param:{name}"] = p.tensor.values
@@ -304,15 +302,8 @@ class Checkpoint:
                     "scheme": "seedsequence(seed, epoch, stream)"},
         }
         arrays["meta"] = np.array(json.dumps(meta))
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with atomic_write(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

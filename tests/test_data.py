@@ -1,15 +1,22 @@
 """Dataset schema, CSV round-trips, normalization, generator, baseline."""
 
+import csv
+import io
+import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from settraj import data as data_mod
 from settraj.data import (
     PitchSpec,
     TrajectorySequence,
+    atomic_write,
     check_sequence_labels,
     denormalize,
     generate_constant_velocity,
@@ -25,6 +32,209 @@ from settraj.data import (
 )
 from settraj.errors import ConfigError, DataError
 from settraj.masking import ObservationMask, build_forecasting_mask
+
+
+# ---------------------------------------------------------------------------
+# row-by-row references: the CSV reader and writer as the library had them
+# before the columnar versions, which must match them exactly
+# ---------------------------------------------------------------------------
+
+HEADER = ["seq_id", "frame", "agent_id", "agent_type", "x", "y", "valid",
+          "state"]
+
+
+def reference_save_sequences(sequences, path):
+    """The ``csv.writer`` writer, one ``writerow`` per (frame, agent)."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HEADER)
+        for s in sequences:
+            for t in range(s.T):
+                state = "" if s.states is None else str(int(s.states[t]))
+                for n in range(s.N):
+                    valid = int(s.validity[t, n])
+                    if np.isfinite(s.positions[t, n]).all():
+                        x, y = (f"{s.positions[t, n, 0]:.6f}",
+                                f"{s.positions[t, n, 1]:.6f}")
+                    else:
+                        x, y = "", ""
+                    writer.writerow([s.seq_id, t, n, int(s.agent_types[n]),
+                                     x, y, valid, state])
+    pitch = sequences[0].pitch
+    meta = {"frame_rate_hz": sequences[0].frame_rate_hz,
+            "pitch": {"length": pitch.length, "width": pitch.width,
+                      "unit": pitch.unit}}
+    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2),
+                                              encoding="utf-8")
+
+
+def reference_load_sequences(path):
+    """The row-by-row reader: a dict per row, then a scatter loop per
+    sequence that raises at the first row in fault."""
+    path = Path(path)
+    meta_file = Path(str(path) + ".meta.json")
+    if meta_file.exists():
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        pitch, rate = PitchSpec(**meta["pitch"]), float(meta["frame_rate_hz"])
+    else:
+        pitch, rate = PitchSpec(), 6.25
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
+    rows_by_seq = {}
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != HEADER:
+            raise DataError(f"{path}: line 1: expected header "
+                            f"{','.join(HEADER)!r}")
+        for row in reader:
+            lineno = reader.line_num
+            if len(row) != len(HEADER):
+                raise DataError(f"{path}: line {lineno}: expected "
+                                f"{len(HEADER)} fields, got {len(row)}")
+            rec = reference_parse_row(row, path, lineno)
+            rows_by_seq.setdefault(rec["seq_id"], []).append((lineno, rec))
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+    return [reference_assemble(seq_id, rows, path, pitch, rate)
+            for seq_id, rows in rows_by_seq.items()]
+
+
+def reference_parse_row(row, path, lineno):
+    def fail(msg):
+        raise DataError(f"{path}: line {lineno}: {msg}")
+
+    seq_id, frame, agent_id, agent_type, x, y, valid, state = row
+    try:
+        rec = {"seq_id": int(seq_id), "frame": int(frame),
+               "agent_id": int(agent_id), "agent_type": int(agent_type)}
+    except ValueError:
+        fail("seq_id, frame, agent_id and agent_type must be integers")
+    if rec["agent_type"] not in (0, 1, 2):
+        fail(f"agent_type {agent_type} not in {{0, 1, 2}}")
+    if valid not in ("0", "1"):
+        fail(f"valid must be 0 or 1, got {valid!r}")
+    rec["valid"] = int(valid)
+    if (x == "") != (y == ""):
+        fail("x and y must both be present or both empty")
+    if x == "":
+        if rec["valid"]:
+            fail("valid rows need position values")
+        rec["x"], rec["y"] = np.nan, np.nan
+    else:
+        try:
+            rec["x"], rec["y"] = float(x), float(y)
+        except ValueError:
+            fail(f"positions must be numeric, got ({x!r}, {y!r})")
+        if rec["valid"] and not (np.isfinite(rec["x"])
+                                 and np.isfinite(rec["y"])):
+            fail("valid rows need finite positions")
+    if state == "":
+        rec["state"] = None
+    else:
+        try:
+            rec["state"] = int(state)
+        except ValueError:
+            fail(f"state must be an integer or empty, got {state!r}")
+        if rec["state"] not in range(4):
+            fail(f"state {state} not in 0..3")
+    return rec
+
+
+def reference_assemble(seq_id, rows, path, pitch, rate):
+    frames = sorted({r["frame"] for _, r in rows})
+    agents = sorted({r["agent_id"] for _, r in rows})
+    T, N = len(frames), len(agents)
+    if frames != list(range(T)):
+        raise DataError(f"{path}: sequence {seq_id}: frames must cover "
+                        f"0..T-1, got {frames[:5]}...")
+    if agents != list(range(N)):
+        raise DataError(f"{path}: sequence {seq_id}: agent ids must cover "
+                        f"0..N-1")
+    positions = np.full((T, N, 2), np.nan)
+    validity = np.zeros((T, N), dtype=np.int8)
+    types = np.full(N, -1, dtype=np.int64)
+    states = np.full(T, -1, dtype=np.int64)
+    seen = np.zeros((T, N), dtype=bool)
+    any_state = False
+    for lineno, r in rows:
+        t, n = r["frame"], r["agent_id"]
+        if seen[t, n]:
+            raise DataError(f"{path}: line {lineno}: duplicate entry for "
+                            f"frame {t}, agent {n}")
+        seen[t, n] = True
+        positions[t, n] = (r["x"], r["y"])
+        validity[t, n] = r["valid"]
+        if types[n] == -1:
+            types[n] = r["agent_type"]
+        elif types[n] != r["agent_type"]:
+            raise DataError(f"{path}: line {lineno}: agent {n} changes type")
+        if r["state"] is not None:
+            any_state = True
+            if states[t] == -1:
+                states[t] = r["state"]
+            elif states[t] != r["state"]:
+                raise DataError(f"{path}: line {lineno}: conflicting state "
+                                f"labels at frame {t}")
+    if not seen.all():
+        t, n = np.argwhere(~seen)[0]
+        raise DataError(f"{path}: sequence {seq_id}: missing entry for "
+                        f"frame {t}, agent {n}")
+    if any_state and (states == -1).any():
+        t = int(np.flatnonzero(states == -1)[0])
+        raise DataError(f"{path}: sequence {seq_id}: frame {t} lacks a state "
+                        f"label while others have one")
+    order = sorted(range(N), key=lambda n: (types[n], n))
+    try:
+        return TrajectorySequence(
+            seq_id=seq_id, positions=positions[:, order, :],
+            agent_types=types[order], states=states if any_state else None,
+            validity=validity[:, order], frame_rate_hz=rate, pitch=pitch)
+    except DataError as e:
+        raise DataError(f"{path}: sequence {seq_id}: {e}") from None
+
+
+def outcome(load, path):
+    """What ``load`` makes of ``path``: its sequences, or its DataError."""
+    try:
+        return load(path)
+    except DataError as e:
+        return e
+
+
+def assert_same_sequences(got, want):
+    """Bit for bit: ids, arrays with their dtypes (NaN payloads included),
+    labels, frame rate and pitch, in the same order."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.seq_id) is type(w.seq_id) and g.seq_id == w.seq_id
+        for name in ("positions", "agent_types", "validity"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        if w.states is None:
+            assert g.states is None
+        else:
+            assert g.states.dtype == w.states.dtype
+            assert g.states.tobytes() == w.states.tobytes()
+        assert (g.frame_rate_hz, g.pitch) == (w.frame_rate_hz, w.pitch)
+
+
+def assert_matches_reference(path):
+    """``load_sequences`` and the row-by-row reference give bit-identical
+    sequences, or DataErrors with equal messages."""
+    got = outcome(load_sequences, path)
+    want = outcome(reference_load_sequences, path)
+    if isinstance(want, DataError):
+        assert isinstance(got, DataError), "loads what the reference rejects"
+        assert str(got) == str(want)
+    else:
+        assert not isinstance(got, DataError), str(got)
+        assert_same_sequences(got, want)
 
 
 def small_sequence(seed=0, T=6, n_per_team=2, states=True):
@@ -109,6 +319,124 @@ class TestCsvRoundTrip:
                                    seq.positions[:, 0], atol=5e-7)
 
 
+def gapped(seq, seed):
+    """``seq`` with a few player stretches absent: NaN positions, valid=0."""
+    rng = np.random.default_rng(seed)
+    pos, valid = seq.positions.copy(), seq.validity.copy()
+    for _ in range(3):
+        agent, start = int(rng.integers(1, seq.N)), int(rng.integers(0, seq.T))
+        pos[start:start + 4, agent] = np.nan
+        valid[start:start + 4, agent] = 0
+    return TrajectorySequence(seq_id=seq.seq_id, positions=pos,
+                              agent_types=seq.agent_types, states=seq.states,
+                              validity=valid)
+
+
+def writer_cases():
+    games = generate_possession_game(3, 12, 2, rng_seed=21)
+    unlabeled = generate_possession_game(2, 9, 3, rng_seed=22)
+    for s in unlabeled:
+        s.states = None
+    odd = small_sequence(seed=23)
+    odd.positions[0, :3] = [[-0.0, -1e-9], [1e6, -0.0], [-1e-9, 1e6]]
+    odd.validity[1, 2] = 0            # absent, yet with a finite position
+    odd.positions[2, 1] = [np.inf, 3.0]  # one non-finite coordinate
+    odd.validity[2, 1] = 0
+    return {"games": games, "gapped": [gapped(s, i) for i, s in
+                                       enumerate(games)],
+            "unlabeled": unlabeled, "edge values": [odd],
+            "numpy ids": [TrajectorySequence(
+                seq_id=np.int64(7), positions=odd.positions,
+                agent_types=odd.agent_types, states=odd.states,
+                validity=odd.validity)]}
+
+
+class TestColumnarWriter:
+    @pytest.mark.parametrize("case", list(writer_cases()))
+    def test_bytes_match_the_reference_writer(self, tmp_path, case):
+        seqs = writer_cases()[case]
+        save_sequences(seqs, tmp_path / "new.csv")
+        reference_save_sequences(seqs, tmp_path / "ref.csv")
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / f"new.csv{suffix}").read_bytes() \
+                == (tmp_path / f"ref.csv{suffix}").read_bytes(), suffix
+        assert_matches_reference(tmp_path / "new.csv")
+
+    def test_duplicate_seq_id_is_refused_before_writing(self, tmp_path):
+        a, b = generate_possession_game(2, 8, 2, rng_seed=24)
+        b.seq_id = a.seq_id = 0
+        path = tmp_path / "dup.csv"
+        with pytest.raises(DataError,
+                           match=r"dup\.csv: seq_id 0 is used by 2 sequences"):
+            save_sequences([a, b], path)
+        assert list(tmp_path.iterdir()) == []
+
+    # (file, write): the CSV's third write (its second sequence, after the
+    # header and the first), or the sidecar's only write; the second save
+    # has another frame rate, so its sidecar differs and is written too
+    @pytest.mark.parametrize("failing", [(0, 2), (1, 0)])
+    def test_failed_save_keeps_the_previous_files(self, tmp_path,
+                                                  monkeypatch, failing):
+        path = tmp_path / "game.csv"
+        save_sequences(generate_possession_game(2, 8, 2, rng_seed=25), path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        files = []
+
+        def open_failing_part_way(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write, writes, number = fh.write, [], len(files)
+            files.append(fh)
+
+            def failing_write(text):
+                if (number, len(writes)) == failing:
+                    raise OSError("disk full")
+                writes.append(text)
+                return write(text)
+
+            fh.write = failing_write
+            return fh
+
+        monkeypatch.setattr(data_mod, "open", open_failing_part_way,
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_sequences(generate_possession_game(3, 9, 2, frame_rate=25.0,
+                                                    rng_seed=26), path)
+        monkeypatch.undo()
+        assert len(files) == failing[0] + 1  # the sidecar opens after the CSV
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        assert len(load_sequences(path)) == 2
+
+    def test_unchanged_sidecar_is_left_in_place(self, tmp_path):
+        path = tmp_path / "game.csv"
+        meta = tmp_path / "game.csv.meta.json"
+        save_sequences(generate_possession_game(2, 8, 2, rng_seed=27), path)
+        inode = meta.stat().st_ino
+        save_sequences(generate_possession_game(3, 9, 2, rng_seed=28), path)
+        assert meta.stat().st_ino == inode
+        assert len(load_sequences(path)) == 3
+        meta.write_text("{}")  # a stale or foreign sidecar is replaced
+        save_sequences(generate_possession_game(1, 9, 2, frame_rate=25.0,
+                                                rng_seed=29), path)
+        assert meta.stat().st_ino != inode
+        assert load_sequences(path)[0].frame_rate_hz == 25.0
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "game.csv", "game.csv.meta.json"]
+
+    def test_atomic_write_removes_its_temporary_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "previous"
+        with atomic_write(path) as fh:
+            fh.write("new")
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "new"
+
+
 class TestCsvSchemaErrors:
     def header(self):
         return "seq_id,frame,agent_id,agent_type,x,y,valid,state"
@@ -151,6 +479,21 @@ class TestCsvSchemaErrors:
                      + "\n0,0,0,0,1.0,2.0,1,\n0,0,0,0,1.0,2.0,1,\n")
         with pytest.raises(DataError, match="duplicate"):
             load_sequences(p)
+
+    @pytest.mark.parametrize("column", [1, 2])  # frame, agent_id
+    @pytest.mark.parametrize("value", ["1000000000000",
+                                       "9223372036854775807",
+                                       "99999999999999999999",
+                                       "-99999999999999999999"])
+    def test_huge_ids_raise_the_coverage_error(self, tmp_path, column, value):
+        rows = valid_rows()
+        rows[3][column] = value
+        p = tmp_path / "huge.csv"
+        write_rows(p, rows)
+        with pytest.raises(DataError, match="sequence 0: (frames|agent ids) "
+                                            "must cover") as caught:
+            load_sequences(p)
+        assert str(caught.value) == str(outcome(reference_load_sequences, p))
 
     def test_bad_state_value(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -239,6 +582,45 @@ def assert_loads_or_names_where(path):
         assert all(isinstance(s, TrajectorySequence) for s in seqs)
 
 
+@st.composite
+def shuffled_sequence_files(draw):
+    """Data rows of one to three sequences in shuffled order (state labels
+    per frame, absent, or drawn per row), with cells of up to two rows
+    replaced, perhaps a quoted cell that spans two lines and perhaps a
+    row of the wrong length, as CSV text."""
+    rows = []
+    ids = draw(st.lists(st.sampled_from(["0", "1", "7", "-0", " 2", "1_0"]),
+                        min_size=1, max_size=3, unique=True))
+    for seq_id in ids:
+        T, N = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        types = draw(st.lists(st.sampled_from("0112"), min_size=N,
+                              max_size=N))
+        labels = draw(st.sampled_from(["none", "per frame", "per row"]))
+        for t in range(T):
+            state = "" if labels == "none" else str(draw(st.integers(0, 3)))
+            for n in range(N):
+                if labels == "per row":
+                    state = draw(st.sampled_from(["", "0", "1"]))
+                valid = draw(st.sampled_from("01"))
+                xy = ["1.5", "-2.25"] if valid == "1" or draw(st.booleans()) \
+                    else ["", ""]
+                rows.append([seq_id, str(t), str(n), types[n], *xy, valid,
+                             state])
+    rows = [list(r) for r in draw(st.permutations(rows))]
+    for _ in range(draw(st.integers(0, 2))):  # rows with 1-3 cells replaced
+        r = draw(st.integers(0, len(rows) - 1))
+        for c in draw(st.lists(st.integers(0, 7), min_size=1, max_size=3)):
+            rows[r][c] = draw(st.sampled_from(EDGE_CELLS))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r][7] = '"' + rows[r][7] + '\n"'
+    lines = [",".join(r) for r in rows]
+    if draw(st.booleans()):
+        short = ",".join(draw(st.sampled_from(rows))[:draw(st.integers(0, 7))])
+        lines.insert(draw(st.integers(0, len(lines))), short)
+    return "".join(line + "\n" for line in lines)
+
+
 class TestLoaderFuzz:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(body=st.binary(max_size=200))
@@ -246,6 +628,7 @@ class TestLoaderFuzz:
         p = tmp_path_factory.getbasetemp() / "fuzz.csv"
         p.write_bytes(CSV_HEADER + body)
         assert_loads_or_names_where(p)
+        assert_matches_reference(p)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(rows=st.lists(st.one_of(
@@ -255,6 +638,7 @@ class TestLoaderFuzz:
         p = tmp_path_factory.getbasetemp() / "fuzz.csv"
         write_rows(p, rows)
         assert_loads_or_names_where(p)
+        assert_matches_reference(p)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7),
@@ -267,6 +651,26 @@ class TestLoaderFuzz:
         p = tmp_path_factory.getbasetemp() / "fuzz.csv"
         write_rows(p, rows)
         assert_loads_or_names_where(p)
+        assert_matches_reference(p)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=shuffled_sequence_files())
+    def test_shuffled_sequences_with_faults(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        p.write_bytes(CSV_HEADER + text.encode("utf-8"))
+        assert_loads_or_names_where(p)
+        assert_matches_reference(p)
+
+    def test_rows_breaking_several_rules(self, tmp_path):
+        """On a row that breaks several rules, the first in row order is
+        named, for every mix of these cells."""
+        p = tmp_path / "f.csv"
+        for row in itertools.product(["0", "a"], ["0"], ["0"],
+                                     ["0", "9", "a"], ["1", "", "inf", "a"],
+                                     ["2", "", "a"], ["1", "0", "x"],
+                                     ["", "1", "9", "x"]):
+            write_rows(p, [list(row)])
+            assert_matches_reference(p)
 
     def test_valid_rows_load(self, tmp_path):
         p = tmp_path / "f.csv"
