@@ -41,7 +41,7 @@ class KeyMask:
         e = np.asarray(self.entries)
         if e.ndim != 2:
             raise ShapeError(f"KeyMask must be 2-D, got shape {e.shape}")
-        if not np.isin(e, (0, 1)).all():
+        if not ((e == 0) | (e == 1)).all():
             raise ValueError("KeyMask entries must be 0 or 1")
         self.entries = e.astype(np.float64)
 

@@ -54,6 +54,21 @@ class PitchSpec:
         return np.array([self.length / 2.0, self.width / 2.0])
 
 
+def _codes(values, what: str, shape: tuple, names) -> np.ndarray:
+    """``values`` as int64 indices into ``names``; a fraction is refused, not
+    truncated (a cast would make an agent type of 0.5 the ball)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw)
+                                      & (np.floor(raw) == raw)).all():
+        raise DataError(f"{what} must be whole numbers")
+    codes = raw.astype(np.int64)
+    if codes.shape != shape:
+        raise DataError(f"{what} must have shape {shape}, got {codes.shape}")
+    if not ((codes >= 0) & (codes < len(names))).all():
+        raise DataError(f"{what} must lie in 0..{len(names) - 1} {names}")
+    return codes
+
+
 @dataclass
 class TrajectorySequence:
     """One multi-agent tracking sequence in field units.
@@ -75,26 +90,18 @@ class TrajectorySequence:
         if self.positions.ndim != 3 or self.positions.shape[2] != 2:
             raise DataError(f"positions must be [T x N x 2], "
                             f"got {self.positions.shape}")
-        self.agent_types = np.asarray(self.agent_types, dtype=np.int64)
-        if self.agent_types.shape != (self.N,):
-            raise DataError("agent_types length must match agent count")
-        if not np.isin(self.agent_types, (BALL, OFFENSE, DEFENSE)).all():
-            raise DataError("agent types must be 0 (ball), 1 (off) or 2 (def)")
+        self.agent_types = _codes(self.agent_types, "agent types", (self.N,),
+                                  ("ball", "offense", "defense"))
         if (self.agent_types == BALL).sum() > 1:
             raise DataError("at most one ball agent per sequence")
         if self.validity is None:
             self.validity = np.ones((self.T, self.N), dtype=np.int8)
-        self.validity = np.asarray(self.validity).astype(np.int8)
-        if self.validity.shape != (self.T, self.N):
-            raise DataError("validity shape must be [T x N]")
+        self.validity = _codes(self.validity, "validity", (self.T, self.N),
+                               ("absent", "valid")).astype(np.int8)
         if not np.isfinite(self.positions[self.validity == 1]).all():
             raise DataError("positions must be finite where validity=1")
         if self.states is not None:
-            self.states = np.asarray(self.states, dtype=np.int64)
-            if self.states.shape != (self.T,):
-                raise DataError("states length must match frame count")
-            if not np.isin(self.states, range(len(STATE_NAMES))).all():
-                raise DataError("states must lie in {0, 1, 2, 3}")
+            self.states = _codes(self.states, "states", (self.T,), STATE_NAMES)
 
     @property
     def T(self) -> int:
@@ -744,21 +751,21 @@ def velocity_baseline(x_partial: np.ndarray, m: ObservationMask,
         raise DataError(f"positions {x.shape} do not match mask ({T}, {N})")
     nan = nan_entries(nan_mask, (T, N))
     visible = (m.entries == 0) & (nan == 0)
-    x_hat = np.where(visible[..., None], x, 0.0)
-    for n in range(N):
-        hidden_ts = np.flatnonzero(~visible[:, n])
-        if hidden_ts.size == 0:
-            continue
-        runs = np.split(hidden_ts, np.flatnonzero(np.diff(hidden_ts) > 1) + 1)
-        for run in runs:
-            a = int(run[0])
-            if a >= 2 and visible[a - 1, n] and visible[a - 2, n]:
-                v = x[a - 1, n] - x[a - 2, n]
-                steps = (run - a + 1)[:, None]
-                x_hat[run, n] = x[a - 1, n] + steps * v
-            elif a >= 1 and visible[a - 1, n]:
-                x_hat[run, n] = x[a - 1, n]
-            else:
-                later = np.flatnonzero(visible[:, n])
-                x_hat[run, n] = x[later[0], n] if later.size else 0.0
+    if T == 0:
+        return x.copy()
+    # Slots are flat indices t * N + n; each copies slot ``src``: itself when
+    # visible, else its run's last visible frame, else the first visible one.
+    last = np.maximum.accumulate(
+        np.where(visible, np.arange(T)[:, None], -1), axis=0)
+    src = np.where(last >= 0, last, visible.argmax(axis=0)) * N + np.arange(N)
+    xs = x.reshape(T * N, -1)
+    x_hat = np.where(visible.take(src)[..., None],
+                     xs.take(src, axis=0).reshape(x.shape), 0.0)
+    # extrapolate where the run's last visible frame follows a visible one
+    moving = np.flatnonzero(~visible & (last >= 1)
+                            & visible.take(np.maximum(src - N, 0)))
+    a = src.take(moving)
+    v = xs.take(a, axis=0) - xs.take(a - N, axis=0)
+    steps = (moving // N - a // N)[:, None]
+    x_hat.reshape(T * N, -1)[moving] = xs.take(a, axis=0) + steps * v
     return x_hat

@@ -95,7 +95,8 @@ class TaskSpec:
                 return list(range(types.size))
             wanted = {"players": (1, 2), "offense": (1,), "defense": (2,),
                       "ball": (0,)}[selector]
-            return [int(i) for i in np.flatnonzero(np.isin(types, wanted))]
+            hit = (types[..., None] == wanted).any(axis=-1)
+            return [int(i) for i in np.flatnonzero(hit)]
         return [int(i) for i in selector]
 
     def build_mask(self, seq: TrajectorySequence,

@@ -24,7 +24,7 @@ def _as_binary(entries, name: str) -> np.ndarray:
     e = np.asarray(entries)
     if e.ndim != 2:
         raise TaskViolationError(f"{name} must be 2-D [T x N], got shape {e.shape}")
-    if not np.isin(e, (0, 1)).all():
+    if not ((e == 0) | (e == 1)).all():
         raise TaskViolationError(f"{name} entries must be 0 or 1")
     return e.astype(np.int8)
 
@@ -330,10 +330,8 @@ def validate_task(m: ObservationMask) -> str:
     col_hidden = e.sum(axis=0)
     if (col_hidden == m.T).any():
         return "inference"
-    predicted = np.flatnonzero(col_hidden > 0)
-    first_hidden = np.array([np.argmax(e[:, n]) for n in predicted])
-    t_hat = first_hidden[0]
-    if (first_hidden == t_hat).all() and all(
-            (e[t_hat:, n] == 1).all() for n in predicted):
+    hidden = e[:, col_hidden > 0]
+    t_hat = hidden[:, 0].argmax()
+    if not hidden[:t_hat].any() and hidden[t_hat:].all():
         return "forecasting"
     return "imputation"

@@ -155,14 +155,11 @@ def fde_metric(x_hat, x, m: ObservationMask, nan_mask: NanLike = None) -> float:
     final-displacement error."""
     sel = _eval_mask(m, nan_mask)
     dist = _distances(x_hat, x)
-    finals = []
-    for n in range(sel.shape[1]):
-        ts = np.flatnonzero(sel[:, n])
-        if ts.size:
-            finals.append(dist[ts[-1], n])
-    if not finals:
+    agents = np.flatnonzero(sel.any(axis=0))
+    if not agents.size:
         raise EmptyMaskError("no agent has a hidden slot")
-    return float(np.mean(finals))
+    last = sel.shape[0] - 1 - sel[::-1, agents].argmax(axis=0)
+    return float(np.mean(dist[last, agents]))
 
 
 def max_err_metric(x_hat, x, m: ObservationMask,
@@ -171,13 +168,11 @@ def max_err_metric(x_hat, x, m: ObservationMask,
     least one hidden slot. Returns ``(value, D)``."""
     sel = _eval_mask(m, nan_mask)
     dist = _distances(x_hat, x)
-    maxima = []
-    for n in range(sel.shape[1]):
-        if sel[:, n].any():
-            maxima.append(dist[sel[:, n], n].max())
-    if not maxima:
+    agents = sel.any(axis=0)
+    if not agents.any():
         raise EmptyMaskError("D = 0: no agent has a hidden slot")
-    return float(np.mean(maxima)), len(maxima)
+    maxima = np.where(sel, dist, -np.inf).max(axis=0)[agents]
+    return float(np.mean(maxima)), maxima.size
 
 
 def accuracy_metric(s, s_hat) -> float:

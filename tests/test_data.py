@@ -814,6 +814,67 @@ class TestSequenceValidation:
             TrajectorySequence(seq_id=0, positions=pos, agent_types=[0, 1],
                                states=None)
 
+    @pytest.mark.parametrize("value,message", [
+        (2, "validity must lie in 0..1"), (256, "validity must lie in 0..1"),
+        (-1, "validity must lie in 0..1"), (0.5, "validity must be whole"),
+        (np.nan, "validity must be whole")])
+    def test_validity_outside_zero_one_rejected(self, value, message):
+        validity = np.ones((3, 2))
+        validity[1, 1] = value
+        with pytest.raises(DataError, match=message):
+            TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
+                               agent_types=[0, 1], states=None,
+                               validity=validity)
+
+    def test_nan_position_with_validity_two_rejected(self):
+        pos = np.zeros((3, 2, 2))
+        pos[1, 1] = np.nan
+        validity = np.ones((3, 2), dtype=np.int64)
+        validity[1, 1] = 2
+        with pytest.raises(DataError, match="validity must lie in 0..1"):
+            TrajectorySequence(seq_id=0, positions=pos, agent_types=[0, 1],
+                               states=None, validity=validity)
+
+    @pytest.mark.parametrize("types", [[0, 0.5], [1.5, 2], [0, np.nan],
+                                       [np.inf, 1]])
+    def test_fractional_agent_types_rejected(self, types):
+        with pytest.raises(DataError,
+                           match="agent types must be whole numbers"):
+            TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
+                               agent_types=types, states=None)
+
+    @pytest.mark.parametrize("states", [[0, 1.7, 1], [0.5, 1, 1],
+                                        [0, 1, np.nan]])
+    def test_fractional_states_rejected(self, states):
+        with pytest.raises(DataError, match="states must be whole numbers"):
+            TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
+                               agent_types=[0, 1], states=states)
+
+    def test_whole_float_and_bool_inputs_accepted(self):
+        seq = TrajectorySequence(
+            seq_id=0, positions=np.zeros((3, 2, 2)),
+            agent_types=np.array([0.0, 2.0]), states=[3.0, 0.0, 1.0],
+            validity=np.array([[True, False]] * 3))
+        assert seq.agent_types.dtype == np.int64
+        assert seq.agent_types.tolist() == [0, 2]
+        assert seq.states.dtype == np.int64
+        assert seq.states.tolist() == [3, 0, 1]
+        assert seq.validity.dtype == np.int8
+        assert seq.validity.tolist() == [[1, 0]] * 3
+
+    @pytest.mark.parametrize("types,states,message", [
+        ([0, 3], None, r"agent types must lie in 0..2 \('ball', 'offense'"),
+        ([-1, 1], None, "agent types must lie in 0..2"),
+        ([0, 1], [0, 4, 1], r"states must lie in 0..3 \('pass', 'possession'"),
+        ([0, 1], [0, -1, 1], "states must lie in 0..3"),
+        ([0, 1, 1], None, r"agent types must have shape \(2,\), got \(3,\)"),
+        ([0, 1], [0, 1], r"states must have shape \(3,\), got \(2,\)"),
+    ])
+    def test_whole_values_out_of_range_rejected(self, types, states, message):
+        with pytest.raises(DataError, match=message):
+            TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
+                               agent_types=types, states=states)
+
     def test_inputs_channels(self):
         seq = small_sequence(seed=19)
         x3 = seq.inputs(channels=3)

@@ -1,0 +1,295 @@
+"""The array-at-a-time scoring path against the per-agent code it replaced.
+
+``velocity_baseline``, ``fde_metric``, ``max_err_metric`` and
+``validate_task`` once looped over agents, and the 0/1 and agent-type checks
+used ``np.isin``. Those versions live on here as references: on every
+generated mask the library must give byte-identical arrays, equal floats,
+equal agent counts and labels, or the same error with the same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from settraj.attention import KeyMask
+from settraj.data import velocity_baseline
+from settraj.errors import DataError, EmptyMaskError, TaskViolationError
+from settraj.harness import TaskSpec
+from settraj.masking import (
+    ObservationMask,
+    _as_binary,
+    nan_entries,
+    validate_task,
+)
+from settraj.model import ModelConfig, embed_inputs, init_params
+from settraj.objectives import _distances, _eval_mask, fde_metric, \
+    max_err_metric
+
+# ---------------------------------------------------------------------------
+# per-agent references, as the library had them
+# ---------------------------------------------------------------------------
+
+
+def reference_velocity_baseline(x_partial, m, nan_mask=None):
+    x = np.asarray(x_partial, dtype=np.float64)
+    T, N = m.entries.shape
+    nan = nan_entries(nan_mask, (T, N))
+    visible = (m.entries == 0) & (nan == 0)
+    x_hat = np.where(visible[..., None], x, 0.0)
+    for n in range(N):
+        hidden_ts = np.flatnonzero(~visible[:, n])
+        if hidden_ts.size == 0:
+            continue
+        runs = np.split(hidden_ts, np.flatnonzero(np.diff(hidden_ts) > 1) + 1)
+        for run in runs:
+            a = int(run[0])
+            if a >= 2 and visible[a - 1, n] and visible[a - 2, n]:
+                v = x[a - 1, n] - x[a - 2, n]
+                steps = (run - a + 1)[:, None]
+                x_hat[run, n] = x[a - 1, n] + steps * v
+            elif a >= 1 and visible[a - 1, n]:
+                x_hat[run, n] = x[a - 1, n]
+            else:
+                later = np.flatnonzero(visible[:, n])
+                x_hat[run, n] = x[later[0], n] if later.size else 0.0
+    return x_hat
+
+
+def reference_fde_metric(x_hat, x, m, nan_mask=None):
+    sel = _eval_mask(m, nan_mask)
+    dist = _distances(x_hat, x)
+    finals = []
+    for n in range(sel.shape[1]):
+        ts = np.flatnonzero(sel[:, n])
+        if ts.size:
+            finals.append(dist[ts[-1], n])
+    if not finals:
+        raise EmptyMaskError("no agent has a hidden slot")
+    return float(np.mean(finals))
+
+
+def reference_max_err_metric(x_hat, x, m, nan_mask=None):
+    sel = _eval_mask(m, nan_mask)
+    dist = _distances(x_hat, x)
+    maxima = []
+    for n in range(sel.shape[1]):
+        if sel[:, n].any():
+            maxima.append(dist[sel[:, n], n].max())
+    if not maxima:
+        raise EmptyMaskError("D = 0: no agent has a hidden slot")
+    return float(np.mean(maxima)), len(maxima)
+
+
+def reference_validate_task(m):
+    e = m.entries
+    if e.sum() == 0:
+        return "mixed"
+    col_hidden = e.sum(axis=0)
+    if (col_hidden == m.T).any():
+        return "inference"
+    predicted = np.flatnonzero(col_hidden > 0)
+    first_hidden = np.array([np.argmax(e[:, n]) for n in predicted])
+    t_hat = first_hidden[0]
+    if (first_hidden == t_hat).all() and all(
+            (e[t_hat:, n] == 1).all() for n in predicted):
+        return "forecasting"
+    return "imputation"
+
+
+def outcome(fn, *args):
+    """What ``fn`` makes of ``args``: its result, or the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return e
+
+
+def assert_same_outcome(got, want):
+    """Equal floats (bit for bit, NaN included), ints and strings, or errors
+    of the same type with the same message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), got
+        return
+    assert not isinstance(got, Exception), repr(got)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+        return
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# generated masks: NaN gaps, leading runs, single visible frames, fully
+# hidden agents, T = 1
+# ---------------------------------------------------------------------------
+
+VISIBLE, HIDDEN, ABSENT, HIDDEN_ABSENT = range(4)
+
+
+@st.composite
+def agent_column(draw, T):
+    """One agent's slot kinds over T frames."""
+    kind = draw(st.sampled_from(["runs", "suffix", "hidden", "visible",
+                                 "one visible"]))
+    if kind == "suffix":
+        t_hat = draw(st.integers(0, T))
+        return [VISIBLE] * t_hat + [HIDDEN] * (T - t_hat)
+    if kind == "hidden":
+        return [HIDDEN] * T
+    if kind == "visible":
+        return [VISIBLE] * T
+    if kind == "one visible":
+        col = [HIDDEN] * T
+        col[draw(st.integers(0, T - 1))] = VISIBLE
+        return col
+    col = []
+    while len(col) < T:
+        slot = draw(st.sampled_from([VISIBLE, VISIBLE, HIDDEN, HIDDEN, ABSENT,
+                                     HIDDEN_ABSENT]))
+        col += [slot] * draw(st.integers(1, 4))
+    return col[:T]
+
+
+@st.composite
+def scored_sequences(draw):
+    """(prediction, positions, mask, NaN mask) in the layout ``_score``
+    hands the metrics: positions are NaN where the NaN mask is set."""
+    T = draw(st.integers(1, 12))
+    N = draw(st.integers(1, 6))
+    kinds = np.array([draw(agent_column(T)) for _ in range(N)]).T
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.normal(size=(T, N, 2)) * draw(st.sampled_from([1e-3, 1.0,
+                                                                   50.0]))
+    nan = ((kinds == ABSENT) | (kinds == HIDDEN_ABSENT)).astype(np.int8)
+    positions[nan == 1] = np.nan
+    prediction = rng.normal(size=(T, N, 2))
+    if draw(st.booleans()):
+        prediction[tuple(rng.integers(0, (T, N)))] = np.nan
+    hidden = (kinds == HIDDEN) | (kinds == HIDDEN_ABSENT)
+    return prediction, positions, ObservationMask(hidden.astype(int)), nan
+
+
+class TestVelocityBaselineMatchesReference:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(scored_sequences())
+    def test_byte_identical(self, case):
+        _, positions, m, nan = case
+        for nan_mask in (nan, None):
+            got = velocity_baseline(positions, m, nan_mask)
+            want = reference_velocity_baseline(positions, m, nan_mask)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_shape_mismatch_message(self):
+        m = ObservationMask(np.zeros((3, 2), dtype=int))
+        with pytest.raises(DataError, match=r"do not match mask \(3, 2\)"):
+            velocity_baseline(np.zeros((3, 3, 2)), m)
+
+
+class TestMetricsMatchReference:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(scored_sequences())
+    def test_same_floats_counts_and_errors(self, case):
+        prediction, positions, m, nan = case
+        baseline = velocity_baseline(positions, m, nan)
+        for pred in (prediction, baseline):
+            for fn, ref in ((fde_metric, reference_fde_metric),
+                            (max_err_metric, reference_max_err_metric)):
+                assert_same_outcome(outcome(fn, pred, positions, m, nan),
+                                    outcome(ref, pred, positions, m, nan))
+
+    def test_shape_error_comes_before_empty_mask(self):
+        m = ObservationMask(np.zeros((3, 2), dtype=int))
+        for fn, ref in ((fde_metric, reference_fde_metric),
+                        (max_err_metric, reference_max_err_metric)):
+            args = (np.zeros((3, 2, 2)), np.zeros((3, 1, 2)), m)
+            got = outcome(fn, *args)
+            assert isinstance(got, DataError)
+            assert_same_outcome(got, outcome(ref, *args))
+
+
+class TestValidateTaskMatchesReference:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(scored_sequences())
+    def test_same_label(self, case):
+        m = case[2]
+        assert validate_task(m) == reference_validate_task(m)
+
+
+# ---------------------------------------------------------------------------
+# value-set checks: equality comparisons accept and reject exactly what
+# np.isin did, with the same exception
+# ---------------------------------------------------------------------------
+
+DTYPES = (np.bool_, np.int8, np.int64, np.float64)
+VALUES = (0, 1, 2, -1, 0.5, np.nan, np.inf)
+CASES = [(dtype, value) for dtype in DTYPES for value in VALUES
+         if np.dtype(dtype).kind not in "iu" or float(value).is_integer()]
+
+
+def grid(dtype, value):
+    """A [3 x 4] 0/1 grid with ``value`` in one slot, in ``dtype``."""
+    e = np.zeros((3, 4), dtype=np.float64)
+    e[0, 1] = 1
+    e[2, 3] = value
+    return e.astype(dtype)
+
+
+def isin_verdict(e, allowed, error):
+    """The replaced check: ``error`` unless every entry is in ``allowed``."""
+    return None if np.isin(e, allowed).all() else error
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return e
+    return None
+
+
+def assert_same_verdict(got, want):
+    if want is None:
+        assert got is None, repr(got)
+    else:
+        assert type(got) is type(want) and str(got) == str(want), repr(got)
+
+
+@pytest.mark.parametrize("dtype,value", CASES)
+class TestValueSetChecks:
+    def test_binary_masks(self, dtype, value):
+        e = grid(dtype, value)
+        for name, build in (("ObservationMask", ObservationMask),
+                            ("NanMask", lambda a: nan_entries(a, a.shape))):
+            want = isin_verdict(e, (0, 1), TaskViolationError(
+                f"{name} entries must be 0 or 1"))
+            assert_same_verdict(raised(build, e), want)
+        if want is None:
+            np.testing.assert_array_equal(_as_binary(e, "m"), e.astype(np.int8))
+
+    def test_key_mask(self, dtype, value):
+        e = grid(dtype, value)
+        want = isin_verdict(e, (0, 1),
+                            ValueError("KeyMask entries must be 0 or 1"))
+        assert_same_verdict(raised(KeyMask, e), want)
+
+    def test_agent_type_channel(self, dtype, value):
+        cfg = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4,
+                          input_channels=3)
+        params = init_params(cfg, seed=0)
+        types = grid(dtype, value)
+        x = np.zeros(types.shape + (3,), dtype=types.dtype)
+        x[..., 2] = types
+        want = isin_verdict(types, (0, 1, 2), DataError(
+            "agent type channel must contain only {0, 1, 2}"))
+        assert_same_verdict(raised(embed_inputs, x, cfg, params), want)
+
+    def test_agent_groups(self, dtype, value):
+        types = np.array([0, 1, 2, value, 1, 0], dtype=np.float64).astype(dtype)
+        task = TaskSpec(kind="forecasting", predicted="players", t_hat=1)
+        for group, wanted in (("players", (1, 2)), ("offense", (1,)),
+                              ("defense", (2,)), ("ball", (0,))):
+            want = [int(i) for i in np.flatnonzero(np.isin(types, wanted))]
+            assert task.resolve_agents(group, types) == want
