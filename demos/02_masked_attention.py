@@ -6,7 +6,7 @@ Run:  python demos/02_masked_attention.py
 
 import numpy as np
 
-from settraj.attention import KeyMask, masked_attention, set_attention_block
+from settraj.attention import masked_attention, set_attention_block
 from settraj.model import ModelConfig, init_params
 from settraj.tensor import DiffTensor
 
@@ -17,8 +17,8 @@ q = DiffTensor(rng.normal(size=(2, 4)))
 k = DiffTensor(rng.normal(size=(3, 4)))
 v = DiffTensor(rng.normal(size=(3, 4)))
 
-mask = KeyMask(np.array([[0, 0, 1],    # query 0 may not look at key 2
-                         [1, 1, 1]]))  # query 1 sees nothing at all
+mask = np.array([[0, 0, 1],    # query 0 may not look at key 2
+                 [1, 1, 1]])    # query 1 sees nothing at all
 out, weights = masked_attention(q, k, v, mask)
 print("attention weights:\n", np.round(weights.values, 4))
 print("fully-masked query row ->", out.values[1], "(zeros, so a residual "

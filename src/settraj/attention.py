@@ -11,7 +11,7 @@ embedding through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -31,25 +31,8 @@ from .tensor import (
 )
 
 
-@dataclass
-class KeyMask:
-    """Binary [n_queries x n_keys] key-exclusion mask (1 = exclude)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries)
-        if e.ndim != 2:
-            raise ShapeError(f"KeyMask must be 2-D, got shape {e.shape}")
-        if not ((e == 0) | (e == 1)).all():
-            raise ValueError("KeyMask entries must be 0 or 1")
-        self.entries = e.astype(np.float64)
-
-
-MaskLike = Union[KeyMask, np.ndarray, None]
-
-
-def masked_attention(q, k, v, m: MaskLike = None, heads: int = 1):
+def masked_attention(q, k, v, m: Optional[np.ndarray] = None,
+                     heads: int = 1):
     """Scaled dot-product attention with key exclusion, over ``heads``
     heads that each own a contiguous slice of the channels.
 
@@ -94,7 +77,7 @@ def masked_attention(q, k, v, m: MaskLike = None, heads: int = 1):
     qh, kh, vh = split(q.values * c), split(k.values), split(v.values)
     p = qh @ np.swapaxes(kh, -1, -2)
     if m is not None:
-        mask = m.entries if isinstance(m, KeyMask) else np.asarray(m)
+        mask = np.asarray(m)
         # one mask for every head: a head axis before the query axis
         excluded = mask.reshape(mask.shape[:-2] + (1,) + mask.shape[-2:]) != 0
         # A fully-excluded row keeps its logits so the softmax stays finite,
@@ -155,7 +138,7 @@ class MhaParams:
     n_heads: int
 
 
-def multi_head_attention(q, k, v, m: MaskLike, p: MhaParams):
+def multi_head_attention(q, k, v, m: Optional[np.ndarray], p: MhaParams):
     """Per-head masked attention over the fused projections, mixed by
     ``wo``.
 
@@ -188,7 +171,7 @@ class SabParams:
     ff_b2: Parameter
 
 
-def set_attention_block(x, m: MaskLike, p: SabParams):
+def set_attention_block(x, m: Optional[np.ndarray], p: SabParams):
     """Pre-norm-free transformer encoder block without positional encoding.
 
     Computes ``LayerNorm(h + rFFN(h))`` with ``h = LayerNorm(x + MHA(x,x,x,m))``.

@@ -105,10 +105,7 @@ def _write_config(out_dir: Path, name: str, payload: dict) -> None:
 
 
 def _load_split(args):
-    seqs = data_mod.load_sequences(args.data)
-    if getattr(args, "limit", None):
-        seqs = seqs[:args.limit]
-    return seqs
+    return data_mod.load_sequences(args.data)[:args.limit]
 
 
 def cmd_generate_data(args) -> int:
@@ -332,6 +329,8 @@ _EXIT_CODES = [
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "limit", None) is not None and args.limit < 1:
+        parser.error(f"argument --limit: must be at least 1, got {args.limit}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to exit categories

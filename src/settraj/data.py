@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .masking import NanLike, ObservationMask, nan_entries
+from .masking import ObservationMask, nan_entries
 
 STATE_NAMES = ("pass", "possession", "uncontrolled", "out_of_play")
 PASS, POSSESSION, UNCONTROLLED, OUT_OF_PLAY = range(4)
@@ -737,7 +737,7 @@ def check_sequence_labels(seq: TrajectorySequence) -> None:
 # ---------------------------------------------------------------------------
 
 def velocity_baseline(x_partial: np.ndarray, m: ObservationMask,
-                      nan_mask: NanLike = None) -> np.ndarray:
+                      nan_mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Constant-velocity extrapolation.
 
     Each maximal hidden run of an agent is projected forward from the two

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,7 +23,6 @@ from .data import (TrajectorySequence, atomic_write, denormalize, normalize,
 from .errors import ConfigError, DataError, NumericsError
 from .masking import (
     ObservationMask,
-    UncertaintyMask,
     build_camera_mask,
     build_circle_mask,
     build_forecasting_mask,
@@ -87,17 +87,22 @@ class TaskSpec:
             raise ConfigError(f"unknown task kind {self.kind!r}")
 
     def resolve_agents(self, selector, agent_types: np.ndarray) -> list[int]:
+        types = np.asarray(agent_types)
         if isinstance(selector, str):
             if selector not in _GROUPS:
                 raise ConfigError(f"unknown agent group {selector!r}")
-            types = np.asarray(agent_types)
             if selector == "all":
                 return list(range(types.size))
             wanted = {"players": (1, 2), "offense": (1,), "defense": (2,),
                       "ball": (0,)}[selector]
             hit = (types[..., None] == wanted).any(axis=-1)
             return [int(i) for i in np.flatnonzero(hit)]
-        return [int(i) for i in selector]
+        agents = [int(i) for i in selector]
+        for i in agents:
+            if not 0 <= i < types.size:
+                raise ConfigError(
+                    f"agent index {i} outside 0..{types.size - 1}")
+        return agents
 
     def build_mask(self, seq: TrajectorySequence,
                    rng: np.random.Generator) -> ObservationMask:
@@ -194,6 +199,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.clip_mode not in ("norm", "value"):
             raise ConfigError("clip_mode must be 'norm' or 'value'")
+        if self.init_scheme != "xavier_normal":
+            raise ConfigError(f"unknown init_scheme {self.init_scheme!r}; "
+                              "only 'xavier_normal' is implemented")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -308,22 +316,28 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with np.load(path, allow_pickle=False) as data:
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                data = {k: archive[k] for k in archive.files}
             meta = json.loads(str(data["meta"][()]))
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version "
-                                f"{meta.get('version')}")
-            model_cfg = ModelConfig.from_dict(meta["model_cfg"])
-            train_cfg = TrainConfig.from_dict(meta["train_cfg"])
-            param_arrays = {k[len("param:"):]: data[k] for k in data.files
-                            if k.startswith("param:")}
-            params = init_params(model_cfg, seed=0, arrays=param_arrays)
-            moments = AdamWState(params)
-            for name in params.named_parameters():
-                moments.m[name] = np.ascontiguousarray(data[f"adam_m:{name}"],
-                                                       dtype=np.float64)
-                moments.v[name] = np.ascontiguousarray(data[f"adam_v:{name}"],
-                                                       dtype=np.float64)
+        except FileNotFoundError:
+            raise DataError(f"no such checkpoint: {path}") from None
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            raise DataError(f"{path}: not a checkpoint archive")
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported checkpoint version "
+                            f"{meta.get('version')}")
+        model_cfg = ModelConfig.from_dict(meta["model_cfg"])
+        train_cfg = TrainConfig.from_dict(meta["train_cfg"])
+        param_arrays = {k[len("param:"):]: v for k, v in data.items()
+                        if k.startswith("param:")}
+        params = init_params(model_cfg, seed=0, arrays=param_arrays)
+        moments = AdamWState(params)
+        for name in params.named_parameters():
+            moments.m[name] = np.ascontiguousarray(data[f"adam_m:{name}"],
+                                                   dtype=np.float64)
+            moments.v[name] = np.ascontiguousarray(data[f"adam_v:{name}"],
+                                                   dtype=np.float64)
         return cls(model_cfg=model_cfg, params=params, moments=moments,
                    train_cfg=train_cfg, epoch=meta["epoch"],
                    step=meta["step"], batch=meta["batch"])
@@ -509,11 +523,8 @@ def _train_step(seq, mask, model_cfg, params,
     target = normalize(seq.positions, seq.pitch)
     with Tape() as tape:
         out = forward(x_in, mask, nan, model_cfg, params)
-        theta = params.unc_theta if model_cfg.with_unc_mask else None
-        if theta is not None:
-            m_unc = build_uncertainty_mask(mask, theta, nan)
-        else:
-            m_unc = UncertaintyMask.binary(mask)
+        # unc_theta is None without the uncertainty mask: binary weights
+        m_unc = build_uncertainty_mask(mask, params.unc_theta, nan)
         lam = model_cfg.lambda_ce if model_cfg.with_cls else 0.0
         s = seq.one_hot_states(model_cfg.n_state_classes) if lam > 0 else None
         loss, report = total_loss(out.predictions, target, m_unc, s,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -47,38 +46,13 @@ class ObservationMask:
         return self.entries.shape[1]
 
 
-@dataclass
-class ExtendedMask:
-    """[T x (N+1)] mask whose last column (the CLS extra agent) is all ones."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = _as_binary(self.entries, "ExtendedMask")
-        if not (self.entries[:, -1] == 1).all():
-            raise TaskViolationError("ExtendedMask CLS column must be all ones")
-
-
-@dataclass
-class NanMask:
-    """Marks absent/corrupt observations: excluded from attention keys and
-    from every loss and metric. A NaN slot is never a prediction target."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = _as_binary(self.entries, "NanMask")
-
-
-NanLike = Union[NanMask, np.ndarray, None]
-
-
-def nan_entries(nan_mask: NanLike, shape) -> np.ndarray:
-    """Normalize a NaN mask argument to a [T x N] int8 array (zeros if None)."""
+def nan_entries(nan_mask: Optional[np.ndarray], shape) -> np.ndarray:
+    """Check a NaN mask (1 = absent or corrupt observation: excluded from
+    attention keys and from every loss and metric, never a prediction target)
+    and return it as a [T x N] int8 array (zeros if None)."""
     if nan_mask is None:
         return np.zeros(shape, dtype=np.int8)
-    arr = nan_mask.entries if isinstance(nan_mask, NanMask) else nan_mask
-    arr = _as_binary(arr, "NanMask")
+    arr = _as_binary(nan_mask, "NanMask")
     if arr.shape != tuple(shape):
         raise TaskViolationError(f"NaN mask shape {arr.shape} != {tuple(shape)}")
     return arr
@@ -187,28 +161,10 @@ def build_camera_mask(positions: np.ndarray, ball_index: int,
     return ObservationMask(entries)
 
 
-def extend_mask_with_cls(m: ObservationMask) -> ExtendedMask:
+def extend_mask_with_cls(m: ObservationMask) -> ObservationMask:
     """Append the all-ones CLS column."""
     cls_col = np.ones((m.T, 1), dtype=np.int8)
-    return ExtendedMask(np.concatenate([m.entries, cls_col], axis=1))
-
-
-def save_mask(m: ObservationMask, path) -> None:
-    """Write a mask as a [T x N] grid of comma-separated 0/1 integers."""
-    lines = [",".join(str(int(v)) for v in row) for row in m.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_mask(path) -> ObservationMask:
-    """Read a mask written by :func:`save_mask`."""
-    rows = [line.split(",") for line in
-            Path(path).read_text().strip().splitlines()]
-    try:
-        entries = np.array([[int(v) for v in row] for row in rows])
-    except ValueError:
-        raise TaskViolationError(f"{path}: mask grids hold integers only") \
-            from None
-    return ObservationMask(entries)
+    return ObservationMask(np.concatenate([m.entries, cls_col], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +179,9 @@ class UncertaintyMask:
     neighbors of hidden slots weigh ``w1 = sigmoid(theta)`` and visible second
     neighbors that are not immediate neighbors of any hidden slot weigh
     ``w2 = 1 - w1``; all other visible slots weigh 0. ``theta`` may be a
-    learnable scalar (gradients then flow into it through the loss) or a
-    plain float.
+    learnable scalar (gradients then flow into it through the loss), a
+    plain float, or None for plain binary weighting (the variant without the
+    uncertainty mask).
     """
 
     hidden: np.ndarray  # {0,1}, weight 1
@@ -272,12 +229,6 @@ class UncertaintyMask:
         out = add(base, mul(w1, DiffTensor(self.first.astype(np.float64))))
         return add(out, mul(w2, DiffTensor(self.second.astype(np.float64))))
 
-    @classmethod
-    def binary(cls, m: ObservationMask) -> "UncertaintyMask":
-        """Plain binary weighting (the variant without the uncertainty mask)."""
-        z = np.zeros_like(m.entries)
-        return cls(hidden=m.entries.copy(), first=z, second=z.copy(), theta=None)
-
 
 def initial_theta() -> float:
     """Logit giving w1 = 0.75, the midpoint of the converged range."""
@@ -285,7 +236,8 @@ def initial_theta() -> float:
 
 
 def build_uncertainty_mask(m: ObservationMask, theta,
-                           nan_mask: NanLike = None) -> UncertaintyMask:
+                           nan_mask: Optional[np.ndarray] = None
+                           ) -> UncertaintyMask:
     """Derive the uncertainty-weight patterns from ``m``.
 
     Neighborhood is computed per agent column; out-of-range neighbors do not

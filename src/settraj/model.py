@@ -19,7 +19,6 @@ import numpy as np
 from .attention import MhaParams, SabParams, set_attention_block
 from .errors import ConfigError, DataError, ShapeError
 from .masking import (
-    NanLike,
     ObservationMask,
     extend_mask_with_cls,
     initial_theta,
@@ -297,7 +296,7 @@ def _encoder(x: DiffTensor, temporal_key_mask: Optional[np.ndarray],
     return x, weights
 
 
-def encoder_coarse(j: DiffTensor, m_ext, nan_ext: np.ndarray,
+def encoder_coarse(j: DiffTensor, m_ext: ObservationMask, nan_ext: np.ndarray,
                    params: ModelParams):
     """Masked pass: hidden and NaN slots are excluded as temporal keys, NaN
     slots as social keys. ``m_ext`` is the CLS-extended mask (or the plain
@@ -340,8 +339,9 @@ class ForwardOutput:
     attention: dict
 
 
-def forward(x_partial: np.ndarray, m: ObservationMask, nan_mask: NanLike,
-            cfg: ModelConfig, params: ModelParams) -> ForwardOutput:
+def forward(x_partial: np.ndarray, m: ObservationMask,
+            nan_mask: Optional[np.ndarray], cfg: ModelConfig,
+            params: ModelParams) -> ForwardOutput:
     """Run the full network on one sequence.
 
     ``x_partial`` is [T x N x C] in whatever coordinate frame the caller

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyMaskError
-from .masking import NanLike, ObservationMask, UncertaintyMask, nan_entries
+from .masking import ObservationMask, UncertaintyMask, nan_entries
 from .tensor import (
     DiffTensor,
     add,
@@ -136,12 +136,14 @@ def _distances(x_hat, x) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1)
 
 
-def _eval_mask(m: ObservationMask, nan_mask: NanLike) -> np.ndarray:
+def _eval_mask(m: ObservationMask,
+               nan_mask: Optional[np.ndarray]) -> np.ndarray:
     nan = nan_entries(nan_mask, m.entries.shape)
     return (m.entries == 1) & (nan == 0)
 
 
-def ade_metric(x_hat, x, m: ObservationMask, nan_mask: NanLike = None) -> float:
+def ade_metric(x_hat, x, m: ObservationMask,
+               nan_mask: Optional[np.ndarray] = None) -> float:
     """Mean Euclidean error over hidden, non-NaN slots."""
     sel = _eval_mask(m, nan_mask)
     if not sel.any():
@@ -149,7 +151,8 @@ def ade_metric(x_hat, x, m: ObservationMask, nan_mask: NanLike = None) -> float:
     return float(_distances(x_hat, x)[sel].mean())
 
 
-def fde_metric(x_hat, x, m: ObservationMask, nan_mask: NanLike = None) -> float:
+def fde_metric(x_hat, x, m: ObservationMask,
+               nan_mask: Optional[np.ndarray] = None) -> float:
     """Mean error at each evaluated agent's last hidden timestep. Agents with
     no hidden slot are excluded; for a forecasting mask this is the classic
     final-displacement error."""
@@ -163,7 +166,7 @@ def fde_metric(x_hat, x, m: ObservationMask, nan_mask: NanLike = None) -> float:
 
 
 def max_err_metric(x_hat, x, m: ObservationMask,
-                   nan_mask: NanLike = None) -> tuple[float, int]:
+                   nan_mask: Optional[np.ndarray] = None) -> tuple[float, int]:
     """Per-agent maximum masked error averaged over the D agents that have at
     least one hidden slot. Returns ``(value, D)``."""
     sel = _eval_mask(m, nan_mask)

@@ -52,51 +52,13 @@ class DiffTensor:
     def ndim(self) -> int:
         return self.values.ndim
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def sum(self, axis=None, keepdims: bool = False) -> "DiffTensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None) -> "DiffTensor":
-        n = self.values.size if axis is None else self.values.shape[axis]
-        return scale(tensor_sum(self, axis=axis), 1.0 / n)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(other, scale(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape})"

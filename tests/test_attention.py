@@ -8,7 +8,6 @@ import pytest
 from settraj import attention as attention_mod
 from settraj import tensor as tx
 from settraj.attention import (
-    KeyMask,
     MhaParams,
     SabParams,
     masked_attention,
@@ -81,14 +80,14 @@ class TestMaskedAttention:
             w.values, [[0.7311, 0.2689], [0.5, 0.5]], atol=1e-4)
 
     def test_excluded_key_gets_zero_weight(self):
-        m = KeyMask(np.array([[0, 1], [0, 1]]))
+        m = np.array([[0, 1], [0, 1]])
         out, w = masked_attention(DiffTensor(self.Q), DiffTensor(self.K),
                                   DiffTensor(self.V), m)
         np.testing.assert_array_equal(w.values, [[1.0, 0.0], [1.0, 0.0]])
         np.testing.assert_allclose(out.values[:, 0], [2.0, 2.0])
 
     def test_fully_masked_row_is_zero(self):
-        m = KeyMask(np.array([[1, 1], [0, 0]]))
+        m = np.array([[1, 1], [0, 0]])
         out, w = masked_attention(DiffTensor(self.Q), DiffTensor(self.K),
                                   DiffTensor(self.V), m)
         np.testing.assert_array_equal(w.values[0], [0.0, 0.0])

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
-from settraj.errors import DataError, NumericsError
+from settraj.errors import ConfigError, DataError, NumericsError, ShapeError
 from settraj.harness import (
     AdamWState,
     Checkpoint,
@@ -143,6 +144,16 @@ class TestClipping:
         assert after <= before + 1e-12
 
 
+class TestTaskSpec:
+    def test_explicit_agent_indices_must_exist(self):
+        types = np.array([0, 1, 1, 2, 2])
+        task = TaskSpec()
+        assert task.resolve_agents((0, 4), types) == [0, 4]
+        for bad in ((5,), (99,), (-1,), (1, 7)):
+            with pytest.raises(ConfigError, match="outside 0..4"):
+                task.resolve_agents(bad, types)
+
+
 class TestTrainLoop:
     def test_loss_decreases_on_tiny_fixture(self, tiny_dataset):
         ckpt, logs = train(tiny_dataset, TINY_MODEL,
@@ -217,6 +228,59 @@ class TestTrainLoop:
         assert rep_nan == rep_fill
         for k, g in grads_fill.items():
             np.testing.assert_array_equal(grads_nan[k], g, err_msg=k)
+
+    def test_without_uncertainty_mask_weights_are_binary(self):
+        # with_unc_mask=False weighs hidden slots 1 and every other slot 0:
+        # one step on a desk-sized labelled sequence gives the gradients of
+        # a hand-built binary weighting, and no w1
+        from settraj.data import normalize
+        from settraj.harness import _train_step
+        from settraj.masking import UncertaintyMask
+        from settraj.model import forward
+        from settraj.objectives import total_loss
+        from settraj.tensor import Tape, backward, scale
+        cfg = ModelConfig(d=32, n_heads=4, sab_hidden=64,
+                          with_unc_mask=False)
+        seq = generate_possession_game(1, 50, 5, rng_seed=9)[0]
+        mask = TaskSpec(kind="forecasting", predicted="players").build_mask(
+            seq, np.random.default_rng(0))
+        params = init_params(cfg, seed=4)
+        assert params.unc_theta is None
+        report = _train_step(seq, mask, cfg, params, 2)
+        got = {k: p.tensor.grad for k, p in params.named_parameters().items()}
+
+        params.zero_grad()
+        zeros = np.zeros_like(mask.entries)
+        binary = UncertaintyMask(hidden=mask.entries.copy(), first=zeros,
+                                 second=zeros.copy(), theta=None)
+        target = normalize(seq.positions, seq.pitch)
+        with Tape() as tape:
+            out = forward(seq.inputs(channels=3, normalized=True), mask,
+                          seq.nan_mask(), cfg, params)
+            loss, want = total_loss(out.predictions, target, binary,
+                                    seq.one_hot_states(cfg.n_state_classes),
+                                    out.state_scores, cfg.lambda_ce)
+            backward(scale(loss, 0.5), tape)
+        for k, p in params.named_parameters().items():
+            np.testing.assert_array_equal(got[k], p.tensor.grad, err_msg=k)
+        assert (report.l_ade, report.l_ce, report.total) == \
+            (want.l_ade, want.l_ce, want.total)
+        hidden = mask.entries == 1
+        dist = np.linalg.norm(out.predictions.values - target, axis=-1)
+        assert report.l_ade == pytest.approx(dist[hidden].mean(), rel=1e-12)
+        assert math.isnan(report.w1_value)
+
+    def test_step_log_without_uncertainty_mask_has_no_w1(self, tiny_dataset):
+        cfg = dataclasses.replace(TINY_MODEL, with_unc_mask=False)
+        _, logs = train(tiny_dataset, cfg, tiny_train_cfg(), max_steps=1)
+        assert math.isnan(logs[0].w1)
+
+    def test_unknown_init_scheme_rejected(self, tiny_dataset):
+        cfg = tiny_train_cfg(init_scheme="he_normal")
+        with pytest.raises(ConfigError, match="he_normal"):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            train(tiny_dataset, TINY_MODEL, cfg)
 
     def test_identical_seeds_identical_runs(self, tiny_dataset):
         a, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg())
@@ -316,6 +380,36 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.npz"]
         assert Checkpoint.load(path).step == ckpt.step
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "nope.npz"
+        with pytest.raises(DataError, match="nope.npz"):
+            Checkpoint.load(path)
+
+    def test_junk_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"junk")
+        with pytest.raises(DataError, match="junk.npz"):
+            Checkpoint.load(path)
+
+    def test_missing_or_misshapen_parameter_keeps_its_type(self, tiny_dataset,
+                                                           tmp_path):
+        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+        path = tmp_path / "model.npz"
+        ckpt.save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        for edit, error in ((lambda a: a.pop("param:output_rffn.b2"),
+                             ConfigError),
+                            (lambda a: a.update(
+                                {"param:output_rffn.b2": np.zeros(3)}),
+                             ShapeError)):
+            broken = dict(arrays)
+            edit(broken)
+            with open(path, "wb") as fh:
+                np.savez(fh, **broken)
+            with pytest.raises(error, match="output_rffn.b2"):
+                Checkpoint.load(path)
 
     def test_path_without_suffix_is_written_as_given(self, tiny_dataset,
                                                      tmp_path):
@@ -458,6 +552,40 @@ class TestCli:
         assert self.run_cli("baseline", "--data", str(data), "--out-dir",
                             str(tmp_path)) == 3
         assert "error[data]" in capsys.readouterr().err
+
+    def test_agent_index_out_of_range_exit_code(self, tmp_path, tiny_dataset,
+                                                capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)  # 5 agents
+        for args in (["--predicted", "99"], ["--predicted=-1"],
+                     ["--predicted", "0,5"],
+                     ["--task", "inference", "--hidden-agents", "7"]):
+            assert self.run_cli("baseline", "--data", str(data), "--out-dir",
+                                str(tmp_path / "b"), *args) == 4, args
+            assert "outside 0..4" in capsys.readouterr().err
+
+    def test_bad_checkpoint_exit_code(self, tmp_path, tiny_dataset, capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"junk")
+        for ckpt in (tmp_path / "missing.npz", junk):
+            assert self.run_cli("evaluate", "--data", str(data),
+                                "--checkpoint", str(ckpt), "--out-dir",
+                                str(tmp_path / "e")) == 3
+            err = capsys.readouterr().err
+            assert "error[data]" in err and str(ckpt) in err
+
+    def test_limit_below_one_is_a_usage_error(self, tmp_path, tiny_dataset):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        for limit in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                self.run_cli("baseline", "--data", str(data), "--out-dir",
+                             str(tmp_path / "b"), "--limit", limit)
+            assert exc.value.code == 2
+        assert self.run_cli("baseline", "--data", str(data), "--out-dir",
+                            str(tmp_path / "b"), "--limit", "1") == 0
 
     def test_bad_config_exit_code(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"

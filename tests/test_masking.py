@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from settraj.errors import ConfigError, TaskViolationError
 from settraj.masking import (
-    ExtendedMask,
     ObservationMask,
     UncertaintyMask,
     build_camera_mask,
@@ -177,10 +176,6 @@ class TestCLSExtension:
         m = build_forecasting_mask(60, 20, list(range(1, 23)), 23)
         assert extend_mask_with_cls(m).entries.shape == (60, 24)
 
-    def test_cls_column_must_be_ones(self):
-        with pytest.raises(TaskViolationError):
-            ExtendedMask(np.zeros((3, 2), dtype=int))
-
 
 def brute_force_uncertainty_column(col, w1):
     """Direct statement of the neighbor-weight rule for one agent column."""
@@ -314,17 +309,3 @@ class TestValidateTask:
     def test_mask_entries_validated(self):
         with pytest.raises(TaskViolationError):
             ObservationMask(np.array([[0.5, 0.0]]))
-
-
-class TestMaskSerialization:
-    def test_round_trip(self, tmp_path):
-        from settraj.masking import load_mask, save_mask
-        m = build_forecasting_mask(8, 3, [0, 2], 4)
-        save_mask(m, tmp_path / "m.csv")
-        loaded = load_mask(tmp_path / "m.csv")
-        np.testing.assert_array_equal(loaded.entries, m.entries)
-
-    def test_grid_is_plain_integers(self, tmp_path):
-        from settraj.masking import save_mask
-        save_mask(ObservationMask(np.eye(2, dtype=int)), tmp_path / "m.csv")
-        assert (tmp_path / "m.csv").read_text() == "1,0\n0,1\n"

@@ -5,7 +5,6 @@ import pytest
 
 from settraj.errors import ConfigError, DataError
 from settraj.masking import (
-    NanMask,
     ObservationMask,
     build_forecasting_mask,
     build_inference_mask,
@@ -153,10 +152,10 @@ class TestForward:
         m = build_forecasting_mask(6, 3, [1], 4)
         nan = np.zeros((6, 4), dtype=int)
         nan[2, 2] = 1
-        out1 = forward(x, m, NanMask(nan), TINY, tiny_params)
+        out1 = forward(x, m, nan, TINY, tiny_params)
         x2 = x.copy()
         x2[2, 2, :2] = 1e6
-        out2 = forward(x2, m, NanMask(nan), TINY, tiny_params)
+        out2 = forward(x2, m, nan, TINY, tiny_params)
         np.testing.assert_array_equal(out1.trajectories, out2.trajectories)
         np.testing.assert_array_equal(out1.state_scores.values,
                                       out2.state_scores.values)

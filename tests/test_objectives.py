@@ -76,7 +76,7 @@ class TestAdeLoss:
         entries[0, 0] = 1
         mask = ObservationMask(entries)
         loss = ade_loss(DiffTensor(pred), gt,
-                        UncertaintyMask.binary(mask)).item()
+                        build_uncertainty_mask(mask, None)).item()
         metric = ade_metric(pred, gt, mask)
         assert abs(loss - metric) < 1e-12
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from settraj.attention import KeyMask
+from settraj.attention import masked_attention
 from settraj.data import velocity_baseline
 from settraj.errors import DataError, EmptyMaskError, TaskViolationError
 from settraj.harness import TaskSpec
@@ -25,6 +25,7 @@ from settraj.masking import (
 from settraj.model import ModelConfig, embed_inputs, init_params
 from settraj.objectives import _distances, _eval_mask, fde_metric, \
     max_err_metric
+from settraj.tensor import DiffTensor
 
 # ---------------------------------------------------------------------------
 # per-agent references, as the library had them
@@ -270,10 +271,16 @@ class TestValueSetChecks:
             np.testing.assert_array_equal(_as_binary(e, "m"), e.astype(np.int8))
 
     def test_key_mask(self, dtype, value):
+        # a key mask is a plain array: every nonzero entry (NaN included)
+        # excludes its key, whatever the dtype
         e = grid(dtype, value)
-        want = isin_verdict(e, (0, 1),
-                            ValueError("KeyMask entries must be 0 or 1"))
-        assert_same_verdict(raised(KeyMask, e), want)
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.normal(size=s) for s in ((3, 2), (4, 2), (4, 2)))
+        _, w = masked_attention(DiffTensor(q), DiffTensor(k), DiffTensor(v), e)
+        logits = np.where(e == 0, q @ k.T / np.sqrt(2.0), -np.inf)
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(
+            w.values, want / want.sum(axis=1, keepdims=True), rtol=1e-12)
 
     def test_agent_type_channel(self, dtype, value):
         cfg = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4,
