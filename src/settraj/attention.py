@@ -85,26 +85,31 @@ def masked_attention(q, k, v, m: Optional[np.ndarray] = None,
         dead = excluded.all(axis=-1, keepdims=True)
         excluded &= ~dead
         try:
-            np.copyto(p, -np.inf, where=excluded)
+            np.broadcast_to(excluded, p.shape)
         except ValueError as e:
             raise ShapeError(f"mask {mask.shape} does not broadcast to "
                              f"attention logits {p.shape}") from e
     # Unshifted softmax while every row sum is in [1e-200, 1e200]: each row's
     # top logit is then in ~[-465, 460], so nothing overflowed and what
     # underflowed weighs ~e^-244 of it or less. Else (or NaN) redo shifted.
-    with np.errstate(over="ignore", under="ignore"):
+    # Excluded keys are zeroed by a 0/1 multiply after exp, not by -inf (or a
+    # finite sentinel) before it: numpy's exp is slow on lanes that underflow.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         np.exp(p, out=p)
+        if m is not None:
+            p *= 1.0 - excluded  # an overflowed excluded key: inf * 0 = NaN
         s = _rowdot(p, np.ones(p.shape[-1]))
-        if not ((s >= 1e-200) & (s <= 1e200)).all():
+        if ((s >= 1e-200) & (s <= 1e200)).all():
+            p *= 1.0 / s if m is None else (1.0 / s) * (1.0 - dead)
+        else:
             np.matmul(qh, np.swapaxes(kh, -1, -2), out=p)
             if m is not None:
                 np.copyto(p, -np.inf, where=excluded)
             p -= p.max(axis=-1, keepdims=True)
             np.exp(p, out=p)
-            s = _rowdot(p, np.ones(p.shape[-1]))
-        p *= 1.0 / s
-    if m is not None and dead.any():
-        np.copyto(p, 0.0, where=dead)
+            p *= 1.0 / _rowdot(p, np.ones(p.shape[-1]))
+            if m is not None and dead.any():
+                np.copyto(p, 0.0, where=dead)
     o = merged_matmul(p, vh)
 
     def rule(g):

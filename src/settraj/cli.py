@@ -16,11 +16,12 @@ from pathlib import Path
 
 # Deterministic mode (default on) pins BLAS to one thread so reductions are
 # reproducible across machines; export SETTRAJ_DETERMINISTIC=0 to opt out.
-# Must happen before numpy loads its threading backend.
+# Must happen before numpy loads its threading backend (settraj/__init__.py
+# imports no numpy).
 if os.environ.get("SETTRAJ_DETERMINISTIC", "1") != "0":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                  "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
+        os.environ[_var] = "1"
 
 import numpy as np
 

@@ -327,20 +327,23 @@ class Checkpoint:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version "
                             f"{meta.get('version')}")
-        model_cfg = ModelConfig.from_dict(meta["model_cfg"])
-        train_cfg = TrainConfig.from_dict(meta["train_cfg"])
-        param_arrays = {k[len("param:"):]: v for k, v in data.items()
-                        if k.startswith("param:")}
-        params = init_params(model_cfg, seed=0, arrays=param_arrays)
-        moments = AdamWState(params)
-        for name in params.named_parameters():
-            moments.m[name] = np.ascontiguousarray(data[f"adam_m:{name}"],
-                                                   dtype=np.float64)
-            moments.v[name] = np.ascontiguousarray(data[f"adam_v:{name}"],
-                                                   dtype=np.float64)
-        return cls(model_cfg=model_cfg, params=params, moments=moments,
-                   train_cfg=train_cfg, epoch=meta["epoch"],
-                   step=meta["step"], batch=meta["batch"])
+        try:  # ConfigError/ShapeError of the parameters pass through
+            model_cfg = ModelConfig.from_dict(meta["model_cfg"])
+            train_cfg = TrainConfig.from_dict(meta["train_cfg"])
+            param_arrays = {k[len("param:"):]: v for k, v in data.items()
+                            if k.startswith("param:")}
+            params = init_params(model_cfg, seed=0, arrays=param_arrays)
+            moments = AdamWState(params)
+            for name in params.named_parameters():
+                moments.m[name] = np.ascontiguousarray(
+                    data[f"adam_m:{name}"], dtype=np.float64)
+                moments.v[name] = np.ascontiguousarray(
+                    data[f"adam_v:{name}"], dtype=np.float64)
+            return cls(model_cfg=model_cfg, params=params, moments=moments,
+                       train_cfg=train_cfg, epoch=meta["epoch"],
+                       step=meta["step"], batch=meta["batch"])
+        except (KeyError, TypeError) as e:
+            raise DataError(f"{path}: incomplete checkpoint: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,8 @@ class TestFusedAttentionAtModelShapes:
 
     def test_mask_that_does_not_broadcast_is_rejected(self):
         qkv, _ = social_case()
-        with pytest.raises(tx.ShapeError):
+        with pytest.raises(tx.ShapeError, match="does not broadcast to "
+                           "attention logits"):
             masked_attention(*(DiffTensor(a) for a in qkv), np.zeros((3, 7)))
 
 
@@ -321,12 +322,15 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def logit_case(rows, keys, H=2, A=4, T=10, dh=8, seed=60):
+def logit_case(rows, keys, excluded_keys=None, H=2, A=4, T=10, dh=8,
+               seed=60):
     """[H x A x T x dh] inputs with an [A x 1 x T] mask (agent 1 fully
     excluded) whose logits are set by channel 0: query row (a, t) holds
     ``rows[a] * 100 sqrt(dh)`` there and each key holds a draw from
     ``keys[a]``, so a row's logits are about ``rows[a] * 100 * key``; the
-    other channels add logits of order one."""
+    other channels add logits of order one. ``excluded_keys``, if given,
+    redraws channel 0 of the excluded keys of every row that is not fully
+    excluded from that range."""
     rng = np.random.default_rng(seed)
     qkv = [rng.normal(size=(H, A, T, dh)) for _ in range(3)]
     for a in range(A):
@@ -335,10 +339,13 @@ def logit_case(rows, keys, H=2, A=4, T=10, dh=8, seed=60):
     m = (rng.uniform(size=(A, 1, T)) < 0.3).astype(float)
     m[1] = 1.0
     m[0] = 0.0
+    if excluded_keys is not None:
+        out = (m[:, 0] == 1.0) & (m[:, 0] == 0.0).any(axis=-1, keepdims=True)
+        qkv[1][:, out, 0] = rng.uniform(*excluded_keys, size=(H, out.sum()))
     return qkv, m
 
 
-# (rows, keys) per agent; agent 1 is the fully excluded one
+# (rows, keys[, excluded_keys]) per agent; agent 1 is the fully excluded one
 LOGIT_CASES = {
     # logits of order one: the unshifted softmax
     "normal": ([0, 0, 0, 0], [(-1, 1)] * 4),
@@ -353,6 +360,8 @@ LOGIT_CASES = {
     "mixed": ([0, 1, 0, 1], [(-10, 10)] * 4),
     # only the fully excluded agent's (kept) logits are huge
     "dead_huge": ([0, 1, 0, 0], [(-1, 1), (8, 10), (-1, 1), (-1, 1)]),
+    # only the excluded keys of live rows overflow: exp(logit) * 0 is NaN
+    "excluded_huge": ([0, 0, 1, 1], [(-1, 1)] * 4, (8, 10)),
 }
 
 
@@ -382,7 +391,8 @@ class TestSoftmaxPaths:
 
     @pytest.mark.parametrize("name,passes", [("normal", 1), ("huge", 2),
                                              ("tiny", 2), ("subnormal", 2),
-                                             ("mixed", 2), ("dead_huge", 2)])
+                                             ("mixed", 2), ("dead_huge", 2),
+                                             ("excluded_huge", 2)])
     def test_shifted_pass_runs_only_out_of_range(self, name, passes,
                                                  monkeypatch):
         # each softmax pass takes its row sums with one _rowdot call
@@ -432,6 +442,109 @@ class TestSoftmaxPaths:
         assert heads.shape == (3, 4, 6, 6) and w.shape == (3, 6, 6)
         np.testing.assert_allclose(w, heads.values.mean(axis=-3), rtol=0,
                                    atol=1e-15)
+
+
+def copyto_attention(q, k, v, m, heads=1):
+    """Reference: ``masked_attention`` as it was before the softmax zeroed
+    excluded keys with a 0/1 multiply after exp. It writes -inf into the
+    excluded logits before exp and zeroes dead rows with ``copyto`` after
+    normalizing; output and backward are computed as in the library."""
+    c = 1.0 / np.sqrt(q.values.shape[-1] // heads)
+
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -2, -3)
+
+    def merged_matmul(a, b):
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(lead[:-1] + (a.shape[-2], heads, b.shape[-1]))
+        np.matmul(a, b, out=np.swapaxes(out, -2, -3))
+        return out.reshape(out.shape[:-2] + (-1,))
+
+    qh, kh, vh = split(q.values * c), split(k.values), split(v.values)
+    p = qh @ np.swapaxes(kh, -1, -2)
+    excluded = m.reshape(m.shape[:-2] + (1,) + m.shape[-2:]) != 0
+    dead = excluded.all(axis=-1, keepdims=True)
+    excluded &= ~dead
+    np.copyto(p, -np.inf, where=excluded)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(p, out=p)
+        s = tx._rowdot(p, np.ones(p.shape[-1]))
+        if not ((s >= 1e-200) & (s <= 1e200)).all():
+            np.matmul(qh, np.swapaxes(kh, -1, -2), out=p)
+            np.copyto(p, -np.inf, where=excluded)
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            s = tx._rowdot(p, np.ones(p.shape[-1]))
+        p *= 1.0 / s
+    if dead.any():
+        np.copyto(p, 0.0, where=dead)
+    o = merged_matmul(p, vh)
+
+    def rule(g):
+        gh = split(g)
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        go = (g * o).reshape(o.shape[:-1] + (heads, -1))
+        ds -= np.swapaxes(tx._rowdot(go, np.ones(go.shape[-1])), -2, -3)
+        ds *= p
+        dq = merged_matmul(ds, kh)
+        dq *= c
+        tx._accum(q, tx._unbroadcast(dq, q.values.shape))
+        tx._accum(k, tx._unbroadcast(
+            merged_matmul(np.swapaxes(ds, -1, -2), qh), k.values.shape))
+        tx._accum(v, tx._unbroadcast(
+            merged_matmul(np.swapaxes(p, -1, -2), gh), v.values.shape))
+
+    return tx._emit(o, (q, k, v), rule, "copyto_attention"), DiffTensor(p)
+
+
+def coarse_temporal_case(seed=70):
+    """The coarse temporal blocks of a desk forecasting model: [A x T x
+    H*dh] = [12 x 50 x 32] inputs with 4 heads; the ten players are hidden
+    from frame 17 on, the ball is visible throughout and the CLS row (the
+    last agent) excludes every key, so its row is dead."""
+    rng = np.random.default_rng(seed)
+    qkv = [rng.normal(size=(12, 50, 32)) for _ in range(3)]
+    m = np.zeros((12, 1, 50))
+    m[:10, :, 17:] = 1.0
+    m[11] = 1.0
+    return qkv, m
+
+
+def social_nan_case(seed=71):
+    """A social block: [T x A x H*dh] = [50 x 12 x 32] inputs with 4 heads
+    and a sparse NaN mask of about 5% of the slots as keys."""
+    rng = np.random.default_rng(seed)
+    qkv = [rng.normal(size=(50, 12, 32)) for _ in range(3)]
+    m = (rng.uniform(size=(50, 1, 12)) < 0.05).astype(float)
+    assert m.any()
+    return qkv, m
+
+
+class TestSoftmaxIsByteIdentical:
+    """The multiply-after-exp softmax changes no bit of the output, the
+    weights or the gradients against the -inf/copyto reference."""
+
+    @pytest.mark.parametrize("case", [coarse_temporal_case, social_nan_case])
+    def test_matches_copyto_reference(self, case):
+        qkv, m = case()
+        attn = lambda q, k, v, m_: masked_attention(q, k, v, m_, heads=4)
+        ref = lambda q, k, v, m_: copyto_attention(q, k, v, m_, heads=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = attention_grads(attn, qkv, m)
+            reference = attention_grads(ref, qkv, m)
+        for label, a, b in zip(("out", "weights", "dq", "dk", "dv"),
+                               fused, reference):
+            assert a.shape == b.shape, label
+            assert a.tobytes() == b.tobytes(), label
+
+    def test_coarse_case_has_a_dead_row_and_excluded_keys(self):
+        qkv, m = coarse_temporal_case()
+        out, w, *_ = attention_grads(
+            lambda q, k, v, m_: masked_attention(q, k, v, m_, heads=4),
+            qkv, m)
+        assert (w[11] == 0.0).all() and (out[11] == 0.0).all()
+        assert (w[:10, :, :, 17:] == 0.0).all()
 
 
 class TestSetAttentionBlock:

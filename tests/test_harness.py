@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import settraj
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
 from settraj.errors import ConfigError, DataError, NumericsError, ShapeError
 from settraj.harness import (
@@ -41,6 +45,50 @@ def tiny_train_cfg(**kw):
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return generate_possession_game(8, 12, 2, rng_seed=5)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tiny_dataset, tmp_path_factory):
+    ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
+    path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+    ckpt.save(path)
+    return path
+
+
+def edit_meta(change):
+    def edit(arrays):
+        meta = json.loads(str(arrays["meta"][()]))
+        change(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+    return edit
+
+
+# archives that open but whose contents are incomplete or come from another
+# version of the configs: the file's fault, so DataError (exit 3)
+INCOMPLETE_ARCHIVES = {
+    "no_adam_m": lambda a: a.pop("adam_m:output_rffn.b2"),
+    "no_adam_v": lambda a: a.pop("adam_v:encoder_c.sab_t1.ln1.gain"),
+    "unknown_model_cfg_field": edit_meta(
+        lambda m: m["model_cfg"].update(dropout=0.1)),
+    "unknown_train_cfg_field": edit_meta(
+        lambda m: m["train_cfg"].update(warmup_steps=5)),
+    "unknown_task_field": edit_meta(
+        lambda m: m["train_cfg"]["task"].update(horizon=3)),
+    "no_model_cfg": edit_meta(lambda m: m.pop("model_cfg")),
+    "no_task": edit_meta(lambda m: m["train_cfg"].pop("task")),
+    "no_epoch": edit_meta(lambda m: m.pop("epoch")),
+    "no_step": edit_meta(lambda m: m.pop("step")),
+    "no_batch": edit_meta(lambda m: m.pop("batch")),
+}
+
+
+def write_edited(src, dst, edit):
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+    return dst
 
 
 class TestAdamW:
@@ -411,6 +459,14 @@ class TestCheckpoint:
             with pytest.raises(error, match="output_rffn.b2"):
                 Checkpoint.load(path)
 
+    @pytest.mark.parametrize("name", sorted(INCOMPLETE_ARCHIVES))
+    def test_incomplete_archive_is_a_data_error(self, name, saved_checkpoint,
+                                                tmp_path):
+        path = write_edited(saved_checkpoint, tmp_path / f"{name}.npz",
+                            INCOMPLETE_ARCHIVES[name])
+        with pytest.raises(DataError, match=f"{name}.npz"):
+            Checkpoint.load(path)
+
     def test_path_without_suffix_is_written_as_given(self, tiny_dataset,
                                                      tmp_path):
         ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
@@ -576,6 +632,32 @@ class TestCli:
             err = capsys.readouterr().err
             assert "error[data]" in err and str(ckpt) in err
 
+    def test_incomplete_checkpoint_exit_code(self, tmp_path, tiny_dataset,
+                                             saved_checkpoint, capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+
+        def evaluate_with(ckpt):
+            return self.run_cli("evaluate", "--data", str(data),
+                                "--checkpoint", str(ckpt), "--out-dir",
+                                str(tmp_path / "e"))
+
+        for name, edit in sorted(INCOMPLETE_ARCHIVES.items()):
+            ckpt = write_edited(saved_checkpoint, tmp_path / f"{name}.npz",
+                                edit)
+            assert evaluate_with(ckpt) == 3, name
+            err = capsys.readouterr().err
+            assert "error[data]" in err and str(ckpt) in err, name
+        # a missing or misshapen parameter stays a config/shape error
+        for name, edit in (
+                ("no_param", lambda a: a.pop("param:output_rffn.b2")),
+                ("bad_param", lambda a: a.update(
+                    {"param:output_rffn.b2": np.zeros(3)}))):
+            ckpt = write_edited(saved_checkpoint, tmp_path / f"{name}.npz",
+                                edit)
+            assert evaluate_with(ckpt) == 4, name
+            assert "error[config]" in capsys.readouterr().err, name
+
     def test_limit_below_one_is_a_usage_error(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"
         save_sequences(tiny_dataset, data)
@@ -594,3 +676,62 @@ class TestCli:
                             str(tmp_path / "r"), "--d", "9", "--heads", "2",
                             "--epochs", "1")
         assert code == 4
+
+
+# Prints the thread count of the OpenBLAS that numpy loaded, or "none".
+BLAS_PROBE = """
+import ctypes, os
+{imports}
+import numpy
+maps = "/proc/self/maps"
+libs = sorted({{line.split()[-1] for line in open(maps)
+                if "openblas" in line}}) if os.path.exists(maps) else []
+for lib in map(ctypes.CDLL, libs):
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            get = getattr(lib, sym)
+            get.argtypes, get.restype = [], ctypes.c_int
+            print(get())
+            raise SystemExit
+print("none")
+"""
+
+
+class TestBlasPin:
+    """The CLI pins BLAS to one thread before numpy loads it; the package
+    itself must not import numpy first."""
+
+    def run(self, code, **env):
+        """stdout of ``python -c code`` with no thread variables set."""
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS", "SETTRAJ_DETERMINISTIC")}
+        src = os.path.dirname(os.path.dirname(settraj.__file__))
+        clean["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**clean, **env}, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.strip()
+
+    def test_package_import_loads_no_numpy(self):
+        # ``python -m settraj.cli`` imports the package before cli.py runs
+        assert self.run("import settraj, sys\n"
+                        "print('numpy' in sys.modules)") == "False"
+
+    def test_cli_import_pins_one_thread(self):
+        threads = lambda imports, **env: self.run(
+            BLAS_PROBE.format(imports=imports), **env)
+        default = threads("")
+        if default == "none":
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        if default == "1":
+            pytest.skip("OpenBLAS starts one thread here: nothing to pin")
+        assert threads("import settraj.cli") == "1"
+        # deterministic mode overrides a thread count set by the caller
+        assert threads("import settraj.cli",
+                       OPENBLAS_NUM_THREADS=default) == "1"
+        assert threads("import settraj.cli",
+                       SETTRAJ_DETERMINISTIC="0") == default
