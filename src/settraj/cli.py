@@ -23,8 +23,6 @@ if os.environ.get("SETTRAJ_DETERMINISTIC", "1") != "0":
                  "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-import numpy as np
-
 from . import data as data_mod
 from . import harness
 from .errors import (
@@ -110,18 +108,13 @@ def _load_split(args):
 
 
 def cmd_generate_data(args) -> int:
-    if args.mode == "possession":
-        seqs = data_mod.generate_possession_game(
-            args.n_sequences, args.frames, args.per_team,
-            frame_rate=args.frame_rate, rng_seed=args.seed,
-            pitch=data_mod.PitchSpec(args.pitch_length, args.pitch_width,
-                                     args.unit))
-    else:
-        seqs = data_mod.generate_constant_velocity(
-            args.n_sequences, args.frames, args.per_team,
-            frame_rate=args.frame_rate, rng_seed=args.seed,
-            pitch=data_mod.PitchSpec(args.pitch_length, args.pitch_width,
-                                     args.unit))
+    generate = (data_mod.generate_possession_game
+                if args.mode == "possession"
+                else data_mod.generate_constant_velocity)
+    seqs = generate(args.n_sequences, args.frames, args.per_team,
+                    frame_rate=args.frame_rate, rng_seed=args.seed,
+                    pitch=data_mod.PitchSpec(args.pitch_length,
+                                             args.pitch_width, args.unit))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_sequences(seqs, out)
@@ -145,7 +138,6 @@ def cmd_train(args) -> int:
         adam_eps=args.adam_eps, weight_decay=args.weight_decay,
         grad_clip_threshold=args.clip, clip_mode=args.clip_mode,
         seed=args.seed, task=_task_from_args(args),
-        regenerate_masks=args.regenerate_masks,
     )
     out_dir = Path(args.out_dir)
     _write_config(out_dir, "run_config.json", {
@@ -211,8 +203,7 @@ def cmd_export_attention(args) -> int:
     seq = seqs[args.sequence]
     ckpt = harness.Checkpoint.load(args.checkpoint)
     task = _task_from_args(args)
-    m = task.build_mask(seq, np.random.default_rng([args.seed, 0, 2,
-                                                    args.sequence]))
+    m = task.build_mask(seq, harness._mask_rng(args.seed, args.sequence))
     out_dir = Path(args.out_dir)
     harness.export_attention(ckpt.params, ckpt.model_cfg, seq, m,
                              args.query_agent, out_dir)
@@ -274,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--val-ratio", type=float, default=0.1)
     t.add_argument("--limit", type=int, default=None)
     t.add_argument("--resume", default=None)
-    t.add_argument("--regenerate-masks", action="store_true")
     _add_model_args(t)
     _add_task_args(t)
     t.set_defaults(func=cmd_train)

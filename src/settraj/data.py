@@ -119,11 +119,10 @@ class TrajectorySequence:
     def nan_mask(self) -> np.ndarray:
         return (self.validity == 0).astype(np.int8)
 
-    def inputs(self, channels: int = 3, normalized: bool = True) -> np.ndarray:
+    def inputs(self, channels: int = 3) -> np.ndarray:
         """Model inputs [T x N x C]: normalized (x, y) plus, with C=3, the
         raw agent-type channel."""
-        xy = normalize(self.positions, self.pitch) if normalized \
-            else self.positions.copy()
+        xy = normalize(self.positions, self.pitch)
         xy = np.where(np.isfinite(xy), xy, 0.0)
         if channels == 2:
             return xy
@@ -424,49 +423,20 @@ class DatasetSplit:
     seed: int
 
 
-def split_dataset(sequences: Sequence, ratios, seed: int,
-                  group_keys: Optional[Sequence] = None) -> DatasetSplit:
-    """Deterministic shuffled train/val/test partition by index.
-
-    With ``group_keys`` (one hashable per sequence, e.g. a match id), whole
-    groups are assigned to a single split.
-    """
+def split_dataset(sequences: Sequence, ratios, seed: int) -> DatasetSplit:
+    """Deterministic shuffled train/val/test partition by index."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or \
             abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be 3 nonnegative values summing to 1, "
                           f"got {ratios}")
     n = len(sequences)
-    rng = np.random.default_rng(seed)
-    if group_keys is None:
-        order = rng.permutation(n)
-        b1 = int(round(ratios[0] * n))
-        b2 = b1 + int(round(ratios[1] * n))
-        return DatasetSplit(train=sorted(order[:b1].tolist()),
-                            val=sorted(order[b1:b2].tolist()),
-                            test=sorted(order[b2:].tolist()), seed=seed)
-
-    if len(group_keys) != n:
-        raise ConfigError("group_keys length must match sequence count")
-    by_group: dict = {}
-    for i, key in enumerate(group_keys):
-        by_group.setdefault(key, []).append(i)
-    keys = sorted(by_group)
-    rng.shuffle(keys)
-    quota = [ratios[0] * n, (ratios[0] + ratios[1]) * n]
-    splits = ([], [], [])
-    assigned = 0
-    for key in keys:
-        members = by_group[key]
-        if assigned < quota[0]:
-            splits[0].extend(members)
-        elif assigned < quota[1]:
-            splits[1].extend(members)
-        else:
-            splits[2].extend(members)
-        assigned += len(members)
-    return DatasetSplit(train=sorted(splits[0]), val=sorted(splits[1]),
-                        test=sorted(splits[2]), seed=seed)
+    order = np.random.default_rng(seed).permutation(n)
+    b1 = int(round(ratios[0] * n))
+    b2 = b1 + int(round(ratios[1] * n))
+    return DatasetSplit(train=sorted(order[:b1].tolist()),
+                        val=sorted(order[b1:b2].tolist()),
+                        test=sorted(order[b2:].tolist()), seed=seed)
 
 
 # ---------------------------------------------------------------------------

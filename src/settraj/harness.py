@@ -51,7 +51,8 @@ from .objectives import (
 )
 from .tensor import Tape, backward, scale
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+ADAM_BETAS = (0.9, 0.999)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.001
     adam_eps: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     weight_decay: float = 0.01
     lr_decay_factor: float = 0.5
     lr_decay_every: int = 20
@@ -188,8 +187,6 @@ class TrainConfig:
     clip_mode: str = "norm"            # "norm" or "value"
     seed: int = 0
     task: TaskSpec = field(default_factory=TaskSpec)
-    regenerate_masks: bool = False     # rebuild random masks every epoch
-    lr_warmup_steps: int = 0           # linear per-step ramp, 0 disables
     init_scheme: str = "xavier_normal"
 
     def validate(self) -> None:
@@ -259,7 +256,7 @@ def adamw_step(params: ModelParams, grads: dict, moments: AdamWState,
     if t < 1:
         raise ConfigError("step count is 1-based")
     lr = cfg.lr if lr is None else lr
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETAS
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name!r}; "
@@ -307,8 +304,6 @@ class Checkpoint:
             "epoch": self.epoch,
             "step": self.step,
             "batch": self.batch,
-            "rng": {"seed": self.train_cfg.seed,
-                    "scheme": "seedsequence(seed, epoch, stream)"},
         }
         arrays["meta"] = np.array(json.dumps(meta))
         with atomic_write(path, "wb") as fh:
@@ -324,6 +319,8 @@ class Checkpoint:
             raise DataError(f"no such checkpoint: {path}") from None
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             raise DataError(f"{path}: not a checkpoint archive")
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: checkpoint metadata is not an object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version "
                             f"{meta.get('version')}")
@@ -334,11 +331,15 @@ class Checkpoint:
                             if k.startswith("param:")}
             params = init_params(model_cfg, seed=0, arrays=param_arrays)
             moments = AdamWState(params)
-            for name in params.named_parameters():
-                moments.m[name] = np.ascontiguousarray(
-                    data[f"adam_m:{name}"], dtype=np.float64)
-                moments.v[name] = np.ascontiguousarray(
-                    data[f"adam_v:{name}"], dtype=np.float64)
+            for name, p in params.named_parameters().items():
+                for kind, store in (("adam_m", moments.m),
+                                    ("adam_v", moments.v)):
+                    arr = data[f"{kind}:{name}"]
+                    if arr.shape != p.tensor.values.shape:
+                        raise DataError(
+                            f"{path}: {kind}:{name} has shape {arr.shape}, "
+                            f"expected {p.tensor.values.shape}")
+                    store[name] = np.ascontiguousarray(arr, dtype=np.float64)
             return cls(model_cfg=model_cfg, params=params, moments=moments,
                        train_cfg=train_cfg, epoch=meta["epoch"],
                        step=meta["step"], batch=meta["batch"])
@@ -360,7 +361,7 @@ def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
     composited back bit-exactly.
     """
     nan = seq.nan_mask()
-    x_in = seq.inputs(channels=cfg.input_channels, normalized=True)
+    x_in = seq.inputs(channels=cfg.input_channels)
     out = forward(x_in, m, nan, cfg, params)
     pred_field = denormalize(out.predictions.values, seq.pitch)
     visible = (m.entries == 0) & (nan == 0)
@@ -368,13 +369,14 @@ def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
     return out, pred_field, trajectories
 
 
-def _mask_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, epoch, 2, index])
+def _mask_rng(seed: int, index: int) -> np.random.Generator:
+    """The random stream of sequence ``index``'s task mask."""
+    return np.random.default_rng([seed, 0, 2, index])
 
 
 def build_masks(seqs: Sequence[TrajectorySequence], task: TaskSpec,
-                seed: int, epoch: int = 0) -> list[ObservationMask]:
-    return [task.build_mask(s, _mask_rng(seed, epoch, i))
+                seed: int) -> list[ObservationMask]:
+    return [task.build_mask(s, _mask_rng(seed, i))
             for i, s in enumerate(seqs)]
 
 
@@ -411,12 +413,12 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     """Run the optimization loop and return the final checkpoint plus the
     per-step log.
 
-    Per epoch: batch order is reshuffled (seeded), task masks are rebuilt
-    (re-randomized only when ``regenerate_masks``), each batch accumulates
-    per-sequence gradients in fixed order, gradients are clipped, and one
-    AdamW step is applied; validation runs after each complete epoch. A
-    non-finite loss aborts with a diagnostic. A run resumed from a
-    checkpoint skips the batches of the epoch that the checkpoint has done.
+    Task masks are built once per run. Per epoch: batch order is reshuffled
+    (seeded), each batch accumulates per-sequence gradients in fixed order,
+    gradients are clipped, and one AdamW step is applied; validation runs
+    after each complete epoch. A non-finite loss aborts with a diagnostic. A
+    run resumed from a checkpoint skips the batches of the epoch that the
+    checkpoint has done.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -442,15 +444,12 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed, epoch=0)
+    masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed)
     stop = False
     bs = train_cfg.batch_size
     n_batches = -(-len(train_seqs) // bs)
     position = (start_epoch, start_batch)  # (complete epochs, batches done)
     for epoch in range(start_epoch, train_cfg.epochs):
-        if train_cfg.regenerate_masks and epoch > 0:
-            masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed,
-                                epoch=epoch)
         lr = lr_schedule(epoch, train_cfg)
         order = np.random.default_rng(
             [train_cfg.seed, epoch, 1]).permutation(len(train_seqs))
@@ -472,12 +471,9 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
             factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
                       else float("nan"))
             step += 1
-            eff_lr = lr
-            if train_cfg.lr_warmup_steps > 0:
-                eff_lr = lr * min(1.0, step / train_cfg.lr_warmup_steps)
-            adamw_step(params, grads, moments, step, train_cfg, lr=eff_lr)
+            adamw_step(params, grads, moments, step, train_cfg, lr=lr)
             logs.append(StepLog(
-                step=step, epoch=epoch, lr=eff_lr,
+                step=step, epoch=epoch, lr=lr,
                 loss=float(np.mean([r.total for r in reports])),
                 l_ade=float(np.mean([r.l_ade for r in reports])),
                 l_ce=float(np.mean([r.l_ce for r in reports])),
@@ -522,7 +518,7 @@ def _train_step(seq, mask, model_cfg, params,
     units.
     """
     nan = seq.nan_mask()
-    x_in = seq.inputs(channels=model_cfg.input_channels, normalized=True)
+    x_in = seq.inputs(channels=model_cfg.input_channels)
     target = normalize(seq.positions, seq.pitch)
     with Tape() as tape:
         out = forward(x_in, mask, nan, model_cfg, params)
@@ -577,7 +573,7 @@ def _score(seqs, task, seed, predict):
     (None for none)."""
     if not seqs:
         raise DataError("evaluation needs at least one sequence")
-    masks = build_masks(seqs, task, seed, epoch=0)
+    masks = build_masks(seqs, task, seed)
     ades, fdes, maxes, accs = [], [], [], []
     d_total = 0
     cm = None

@@ -2,7 +2,10 @@
 for absent data, and the learnable uncertainty mask used by the training loss.
 
 Masks are time-major ``[T x N]`` with 1 marking a hidden slot (to predict) and
-0 a visible one. Task predicates operate per agent column.
+0 a visible one. Task predicates operate per agent column. A slot the NaN mask
+marks absent is never a prediction target, even where a task mask hides it:
+the model excludes it as a key and ignores its value, and no loss or metric
+weighs it.
 """
 
 from __future__ import annotations
@@ -241,12 +244,12 @@ def build_uncertainty_mask(m: ObservationMask, theta,
     """Derive the uncertainty-weight patterns from ``m``.
 
     Neighborhood is computed per agent column; out-of-range neighbors do not
-    exist. NaN-masked slots never receive weight (they have no ground truth).
+    exist. The targets are the hidden slots that are not NaN-masked: a
+    NaN-masked slot never receives weight (it has no ground truth), even when
+    ``m`` hides it.
     """
-    h = m.entries.astype(bool)
     nan = nan_entries(nan_mask, m.entries.shape).astype(bool)
-    if (h & nan).any():
-        raise TaskViolationError("prediction targets overlap the NaN mask")
+    h = m.entries.astype(bool) & ~nan
 
     near = np.zeros_like(h)
     near[:-1] |= h[1:]
@@ -258,7 +261,7 @@ def build_uncertainty_mask(m: ObservationMask, theta,
     visible = ~h & ~nan
     first = visible & near
     second = visible & ~near & far
-    return UncertaintyMask(hidden=m.entries.astype(np.int8),
+    return UncertaintyMask(hidden=h.astype(np.int8),
                            first=first.astype(np.int8),
                            second=second.astype(np.int8),
                            theta=theta)

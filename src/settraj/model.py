@@ -357,8 +357,6 @@ def forward(x_partial: np.ndarray, m: ObservationMask,
     if m.entries.shape != (T, N):
         raise ShapeError(f"mask shape {m.entries.shape} != ({T}, {N})")
     nan = nan_entries(nan_mask, (T, N))
-    if (nan & m.entries).any():
-        raise DataError("prediction targets overlap the NaN mask")
 
     blocked = (m.entries | nan).astype(bool)
     x_filled = x.copy()

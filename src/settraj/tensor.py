@@ -36,13 +36,12 @@ def active_tape() -> Optional["Tape"]:
 class DiffTensor:
     """A dense float64 array plus an optional gradient of the same shape."""
 
-    __slots__ = ("values", "grad", "node_id")
+    __slots__ = ("values", "grad")
 
     def __init__(self, values):
         arr = np.ascontiguousarray(values, dtype=np.float64)
         self.values = arr
         self.grad: Optional[np.ndarray] = None
-        self.node_id: Optional[int] = None
 
     @property
     def shape(self) -> tuple:
@@ -87,7 +86,6 @@ class Tape:
 
     def record(self, output: DiffTensor, inputs: Sequence[DiffTensor],
                rule: Callable[[np.ndarray], None]) -> None:
-        output.node_id = len(self.ops)
         self.ops.append((output, inputs, rule))
 
     def watch(self, t: DiffTensor) -> None:

@@ -785,17 +785,6 @@ class TestSplit:
         b = split_dataset(list(range(50)), (0.6, 0.2, 0.2), seed=16)
         assert a == b
 
-    def test_groups_do_not_straddle(self):
-        groups = [i // 5 for i in range(60)]
-        split = split_dataset(list(range(60)), (0.5, 0.25, 0.25), seed=17,
-                              group_keys=groups)
-        for part in (split.train, split.val, split.test):
-            for other in (split.train, split.val, split.test):
-                if part is other:
-                    continue
-                shared = {groups[i] for i in part} & {groups[i] for i in other}
-                assert not shared
-
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError):
             split_dataset(list(range(10)), (0.5, 0.2, 0.2), seed=18)

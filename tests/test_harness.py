@@ -79,6 +79,10 @@ INCOMPLETE_ARCHIVES = {
     "no_epoch": edit_meta(lambda m: m.pop("epoch")),
     "no_step": edit_meta(lambda m: m.pop("step")),
     "no_batch": edit_meta(lambda m: m.pop("batch")),
+    "bad_adam_m": lambda a: a.update({"adam_m:output_rffn.b2": np.zeros(3)}),
+    "bad_adam_v": lambda a: a.update(
+        {"adam_v:encoder_c.sab_t1.ln1.gain": np.zeros((2, 8))}),
+    "meta_not_object": lambda a: a.update(meta=np.array(json.dumps([3]))),
 }
 
 
@@ -253,29 +257,35 @@ class TestTrainLoop:
     def test_gapped_sequence_trains_like_any_filled_copy(self, tiny_dataset):
         # Absent observations (NaN, validity 0) carry no loss weight: the
         # step is finite, and its loss and gradients do not depend on what
-        # the absent cells hold.
+        # the absent cells hold. Ball inference hides no absent cell;
+        # forecasting hides some of them (t >= 4 on the players), which
+        # are then no targets.
         from settraj.harness import _train_step
         seq = tiny_dataset[0]
         gapped = seq.positions.copy()
-        gapped[2:7, 1] = np.nan   # agent 0 is the ball, the hidden agent
+        gapped[2:7, 1] = np.nan   # agent 0 is the ball
         gapped[5:9, 3] = np.nan
         valid = np.where(np.isnan(gapped[..., 0]), 0, seq.validity)
-        mask = TaskSpec(kind="inference", hidden_agents="ball").build_mask(
-            seq, np.random.default_rng(0))
-        runs = []
-        for positions in (gapped, np.nan_to_num(gapped, nan=3.0)):
-            s = dataclasses.replace(seq, positions=positions, validity=valid)
-            params = init_params(TINY_MODEL, seed=12)
-            params.zero_grad()
-            report = _train_step(s, mask, TINY_MODEL, params, 1)
-            grads = {k: p.tensor.grad
-                     for k, p in params.named_parameters().items()}
-            runs.append((report, grads))
-        (rep_nan, grads_nan), (rep_fill, grads_fill) = runs
-        assert np.isfinite(rep_nan.total)
-        assert rep_nan == rep_fill
-        for k, g in grads_fill.items():
-            np.testing.assert_array_equal(grads_nan[k], g, err_msg=k)
+        for task in (TaskSpec(kind="inference", hidden_agents="ball"),
+                     TaskSpec(kind="forecasting", predicted="players",
+                              t_hat=4)):
+            mask = task.build_mask(seq, np.random.default_rng(0))
+            runs = []
+            for positions in (gapped, np.nan_to_num(gapped, nan=3.0)):
+                s = dataclasses.replace(seq, positions=positions,
+                                        validity=valid)
+                params = init_params(TINY_MODEL, seed=12)
+                params.zero_grad()
+                report = _train_step(s, mask, TINY_MODEL, params, 1)
+                grads = {k: p.tensor.grad
+                         for k, p in params.named_parameters().items()}
+                runs.append((report, grads))
+            (rep_nan, grads_nan), (rep_fill, grads_fill) = runs
+            assert np.isfinite(rep_nan.total), task.kind
+            assert rep_nan == rep_fill, task.kind
+            for k, g in grads_fill.items():
+                np.testing.assert_array_equal(grads_nan[k], g,
+                                              err_msg=f"{task.kind} {k}")
 
     def test_without_uncertainty_mask_weights_are_binary(self):
         # with_unc_mask=False weighs hidden slots 1 and every other slot 0:
@@ -303,7 +313,7 @@ class TestTrainLoop:
                                  second=zeros.copy(), theta=None)
         target = normalize(seq.positions, seq.pitch)
         with Tape() as tape:
-            out = forward(seq.inputs(channels=3, normalized=True), mask,
+            out = forward(seq.inputs(channels=3), mask,
                           seq.nan_mask(), cfg, params)
             loss, want = total_loss(out.predictions, target, binary,
                                     seq.one_hot_states(cfg.n_state_classes),
@@ -384,18 +394,12 @@ class TestCheckpoint:
                 p.tensor.values,
                 resumed.params.named_parameters()[k].tensor.values)
 
-    def test_version_1_archive_is_rejected(self, tiny_dataset, tmp_path):
-        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
-        path = tmp_path / "model.npz"
-        ckpt.save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(str(arrays["meta"][()]))
-        meta["version"] = 1
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(DataError, match="version 1"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_archive_is_rejected(self, version, saved_checkpoint,
+                                             tmp_path):
+        path = write_edited(saved_checkpoint, tmp_path / "old.npz", edit_meta(
+            lambda m: m.update(version=version)))
+        with pytest.raises(DataError, match=f"version {version}"):
             Checkpoint.load(path)
 
     def test_parameter_count_matches_saved_entries(self, tiny_dataset,
@@ -648,6 +652,15 @@ class TestCli:
             assert evaluate_with(ckpt) == 3, name
             err = capsys.readouterr().err
             assert "error[data]" in err and str(ckpt) in err, name
+        # a misshapen moment is refused on load, before training resumes
+        ckpt = write_edited(saved_checkpoint, tmp_path / "bad_adam_m.npz",
+                            INCOMPLETE_ARCHIVES["bad_adam_m"])
+        assert self.run_cli("train", "--data", str(data), "--out-dir",
+                            str(tmp_path / "r"), "--resume", str(ckpt),
+                            "--d", "8", "--heads", "2", "--sab-hidden", "16",
+                            "--epochs", "2") == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and str(ckpt) in err
         # a missing or misshapen parameter stays a config/shape error
         for name, edit in (
                 ("no_param", lambda a: a.pop("param:output_rffn.b2")),

@@ -257,10 +257,16 @@ class TestUncertaintyMask:
         assert unc.entries[1, 0] == 0.0
         assert unc.entries[3, 0] == 0.8
 
-    def test_nan_overlap_rejected(self):
-        col = np.array([1, 0])[:, None]
-        with pytest.raises(TaskViolationError):
-            build_uncertainty_mask(ObservationMask(col), 0.0, col)
+    def test_absent_hidden_slot_is_not_a_target(self):
+        # t=0 is hidden but absent: no weight, and its neighbors weigh as if
+        # it were not hidden; the hidden slot at t=3 is a target as usual
+        col = np.array([1, 0, 0, 1, 0, 0, 0])[:, None]
+        absent = np.array([1, 0, 0, 0, 0, 0, 0])[:, None]
+        unc = build_uncertainty_mask(ObservationMask(col),
+                                     self.theta_for(0.75), absent)
+        np.testing.assert_allclose(unc.entries[:, 0],
+                                   [0.0, 0.25, 0.75, 1.0, 0.75, 0.25, 0.0],
+                                   atol=1e-12)
 
     def test_theta_gradient_flows(self):
         theta = Parameter("theta", DiffTensor(np.float64(initial_theta())))

@@ -18,6 +18,7 @@ from settraj.model import (
     init_params,
     positional_encoding,
 )
+from settraj.objectives import ade_metric
 from settraj.tensor import xavier_normal_init
 
 TINY = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4,
@@ -160,11 +161,31 @@ class TestForward:
         np.testing.assert_array_equal(out1.state_scores.values,
                                       out2.state_scores.values)
 
-    def test_nan_overlap_with_targets_rejected(self, tiny_params):
+    def test_absent_target_is_an_excluded_key(self, tiny_params):
+        # (4, 1) is hidden by the task and absent: it is no key of any social
+        # attention, the output does not depend on its value, and it gets no
+        # metric (its NaN ground truth is never read)
         x = make_inputs(6, 4)
         m = build_forecasting_mask(6, 3, [1], 4)
-        with pytest.raises(DataError):
-            forward(x, m, m.entries, TINY, tiny_params)
+        nan = np.zeros((6, 4), dtype=np.int8)
+        nan[4, 1] = 1
+        outs = []
+        for value in (0.3, 1e6):
+            x[4, 1, :2] = value
+            outs.append(forward(x, m, nan, TINY, tiny_params))
+        a, b = outs
+        np.testing.assert_array_equal(a.predictions.values,
+                                      b.predictions.values)
+        np.testing.assert_array_equal(a.state_scores.values,
+                                      b.state_scores.values)
+        for key in ("coarse_social", "fine_social"):
+            assert (a.attention[key][4, :, 1] == 0.0).all()
+            assert (a.attention[key][3, :, 1] > 0.0).all()
+        truth = x[..., :2].copy()
+        truth[4, 1] = np.nan
+        dist = np.linalg.norm(a.trajectories - truth, axis=-1)
+        assert ade_metric(a.trajectories, truth, m, nan) == \
+            pytest.approx(dist[[3, 5], [1, 1]].mean(), rel=1e-12)
 
     def test_fully_hidden_agent_runs(self, tiny_params):
         x = make_inputs(6, 4, seed=10)

@@ -354,7 +354,7 @@ class TestCopyFreeAccumulation:
         seqs = generate_possession_game(2, 12, 2, rng_seed=93)
         task = harness.TaskSpec(kind="forecasting", predicted="players",
                                 t_hat=4)
-        masks = harness.build_masks(seqs, task, 0, epoch=0)
+        masks = harness.build_masks(seqs, task, 0)
 
         def grads():
             params = model.init_params(cfg, seed=94)
