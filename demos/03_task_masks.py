@@ -1,5 +1,6 @@
 """Every mask in the toolbox: the three task families, geometric occlusion,
-the CLS extension and the learnable uncertainty weights.
+the slot roles a task mask and absent data give together, and the learnable
+uncertainty weights.
 
 Run:  python demos/03_task_masks.py
 """
@@ -14,8 +15,8 @@ from settraj.masking import (
     build_inference_mask,
     build_percentage_mask,
     build_uncertainty_mask,
-    extend_mask_with_cls,
     initial_theta,
+    slot_roles,
     validate_task,
 )
 
@@ -42,10 +43,14 @@ show("camera mode, 25 degree half angle",
      build_camera_mask(seq.positions, seq.ball_index, 25.0,
                        seq.pitch.center))
 
-# the CLS extra agent is appended as an always-hidden column
+# an absent observation is neither visible nor a target, hidden or not
 m = build_forecasting_mask(6, 3, [1], 3)
-ext = extend_mask_with_cls(m)
-print("\nextended mask (last column = CLS):\n", ext.entries)
+absent = np.zeros((6, 3), dtype=np.int8)
+absent[[1, 4], [0, 1]] = 1
+_, visible, target = slot_roles(m, absent)
+roles = np.where(visible, ".", np.where(target, "T", "-"))
+print("\nslot roles, one frame a row (. visible, T target, - absent):")
+print("\n".join("".join(row) for row in roles))
 
 # uncertainty weights taper off around hidden runs
 col = np.array([0, 0, 0, 1, 1, 1, 0, 0])

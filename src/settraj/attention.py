@@ -1,5 +1,5 @@
-"""Masked scaled dot-product attention, multi-head attention and the set
-attention block (SAB).
+"""Masked scaled dot-product attention, multi-head attention, the row-wise
+feed-forward network (rFFN) and the set attention block (SAB).
 
 Mask convention: a key-mask entry of 1 EXCLUDES that key for that query, 0
 includes it. Excluded keys receive exactly zero weight. A query row whose
@@ -162,6 +162,21 @@ def multi_head_attention(q, k, v, m: Optional[np.ndarray], p: MhaParams):
 
 
 @dataclass
+class RffnParams:
+    """Two affine layers with a rectified-linear unit between them."""
+
+    w1: Parameter
+    b1: Parameter
+    w2: Parameter
+    b2: Parameter
+
+
+def rffn_apply(x, p: RffnParams) -> DiffTensor:
+    """The Set Transformer's row-wise feed-forward network (rFF)."""
+    return affine(relu(affine(x, p.w1, p.b1)), p.w2, p.b2)
+
+
+@dataclass
 class SabParams:
     """Parameters of one set attention block."""
 
@@ -170,10 +185,7 @@ class SabParams:
     ln1_bias: Parameter
     ln2_gain: Parameter
     ln2_bias: Parameter
-    ff_w1: Parameter  # [d, hidden]
-    ff_b1: Parameter
-    ff_w2: Parameter  # [hidden, d]
-    ff_b2: Parameter
+    rffn: RffnParams  # d -> hidden -> d
 
 
 def set_attention_block(x, m: Optional[np.ndarray], p: SabParams):
@@ -186,6 +198,5 @@ def set_attention_block(x, m: Optional[np.ndarray], p: SabParams):
     x = as_tensor(x)
     attn, weights = multi_head_attention(x, x, x, m, p.mha)
     h = layer_norm(x, p.ln1_gain, p.ln1_bias, residual=attn)
-    ff = affine(relu(affine(h, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
-    out = layer_norm(h, p.ln2_gain, p.ln2_bias, residual=ff)
+    out = layer_norm(h, p.ln2_gain, p.ln2_bias, residual=rffn_apply(h, p.rffn))
     return out, weights

@@ -38,7 +38,7 @@ from .model import ModelConfig
 
 def _parse_agents(text: str):
     """'players' | 'offense' | ... | comma-separated indices."""
-    if text in harness._GROUPS:
+    if text in harness.AGENT_GROUPS:
         return text
     try:
         return tuple(int(x) for x in text.split(","))

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .masking import ObservationMask, nan_entries
+from .masking import ObservationMask, slot_roles
 
 STATE_NAMES = ("pass", "possession", "uncontrolled", "out_of_play")
 PASS, POSSESSION, UNCONTROLLED, OUT_OF_PLAY = range(4)
@@ -121,9 +121,9 @@ class TrajectorySequence:
 
     def inputs(self, channels: int = 3) -> np.ndarray:
         """Model inputs [T x N x C]: normalized (x, y) plus, with C=3, the
-        raw agent-type channel."""
+        raw agent-type channel. Absent slots keep their positions as given,
+        NaN included; ``model.forward`` zero-fills every non-visible slot."""
         xy = normalize(self.positions, self.pitch)
-        xy = np.where(np.isfinite(xy), xy, 0.0)
         if channels == 2:
             return xy
         if channels == 3:
@@ -719,8 +719,7 @@ def velocity_baseline(x_partial: np.ndarray, m: ObservationMask,
     T, N = m.entries.shape
     if x.shape[:2] != (T, N):
         raise DataError(f"positions {x.shape} do not match mask ({T}, {N})")
-    nan = nan_entries(nan_mask, (T, N))
-    visible = (m.entries == 0) & (nan == 0)
+    visible = slot_roles(m, nan_mask)[1]
     if T == 0:
         return x.copy()
     # Slots are flat indices t * N + n; each copies slot ``src``: itself when

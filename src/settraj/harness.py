@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (TrajectorySequence, atomic_write, denormalize, normalize,
-                   velocity_baseline)
-from .errors import ConfigError, DataError, NumericsError
+from .data import (BALL, DEFENSE, OFFENSE, TrajectorySequence, atomic_write,
+                   denormalize, normalize, velocity_baseline)
+from .errors import ConfigError, DataError, EmptyMaskError, NumericsError
 from .masking import (
     ObservationMask,
     build_camera_mask,
@@ -30,6 +30,7 @@ from .masking import (
     build_inference_mask,
     build_percentage_mask,
     build_uncertainty_mask,
+    slot_roles,
     validate_task,
 )
 from .model import (
@@ -59,7 +60,8 @@ ADAM_BETAS = (0.9, 0.999)
 # task specification
 # ---------------------------------------------------------------------------
 
-_GROUPS = ("all", "players", "offense", "defense", "ball")
+AGENT_GROUPS = {"all": (BALL, OFFENSE, DEFENSE), "players": (OFFENSE, DEFENSE),
+                "offense": (OFFENSE,), "defense": (DEFENSE,), "ball": (BALL,)}
 
 
 @dataclass
@@ -90,13 +92,9 @@ class TaskSpec:
     def resolve_agents(self, selector, agent_types: np.ndarray) -> list[int]:
         types = np.asarray(agent_types)
         if isinstance(selector, str):
-            if selector not in _GROUPS:
+            if selector not in AGENT_GROUPS:
                 raise ConfigError(f"unknown agent group {selector!r}")
-            if selector == "all":
-                return list(range(types.size))
-            wanted = {"players": (1, 2), "offense": (1,), "defense": (2,),
-                      "ball": (0,)}[selector]
-            hit = (types[..., None] == wanted).any(axis=-1)
+            hit = (types[..., None] == AGENT_GROUPS[selector]).any(axis=-1)
             return [int(i) for i in np.flatnonzero(hit)]
         agents = [int(i) for i in selector]
         for i in agents:
@@ -109,17 +107,14 @@ class TaskSpec:
                    rng: np.random.Generator) -> ObservationMask:
         self.validate()
         T, N = seq.T, seq.N
-        if self.kind == "forecasting":
+        if self.kind in ("forecasting", "imputation"):
             t_hat = self.t_hat if self.t_hat is not None else T // 3
             agents = self.resolve_agents(self.predicted, seq.agent_types)
-            return build_forecasting_mask(T, t_hat, agents, N)
-        if self.kind == "imputation":
-            t_hat = self.t_hat if self.t_hat is not None else T // 3
-            agents = self.resolve_agents(self.predicted, seq.agent_types)
-            base = build_forecasting_mask(T, t_hat, agents, N)
-            visible = {n: [t for t in range(T) if base.entries[t, n] == 0]
-                       + [T - 1] for n in agents}
-            return build_imputation_mask(T, N, agents, visible)
+            m = build_forecasting_mask(T, t_hat, agents, N)  # checks t_hat
+            if self.kind == "forecasting":
+                return m
+            return build_imputation_mask(
+                T, N, agents, {n: [*range(t_hat), T - 1] for n in agents})
         if self.kind == "inference":
             agents = self.resolve_agents(self.hidden_agents, seq.agent_types)
             return build_inference_mask(T, agents, N)
@@ -364,7 +359,7 @@ def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
     x_in = seq.inputs(channels=cfg.input_channels)
     out = forward(x_in, m, nan, cfg, params)
     pred_field = denormalize(out.predictions.values, seq.pitch)
-    visible = (m.entries == 0) & (nan == 0)
+    visible = slot_roles(m, nan)[1]
     trajectories = np.where(visible[..., None], seq.positions, pred_field)
     return out, pred_field, trajectories
 
@@ -413,12 +408,13 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     """Run the optimization loop and return the final checkpoint plus the
     per-step log.
 
-    Task masks are built once per run. Per epoch: batch order is reshuffled
-    (seeded), each batch accumulates per-sequence gradients in fixed order,
-    gradients are clipped, and one AdamW step is applied; validation runs
-    after each complete epoch. A non-finite loss aborts with a diagnostic. A
-    run resumed from a checkpoint skips the batches of the epoch that the
-    checkpoint has done.
+    Task masks are built once per run; a sequence without a target slot
+    (every hidden slot absent) is left out. Per epoch: batch order is
+    reshuffled (seeded), each batch accumulates per-sequence gradients in
+    fixed order, gradients are clipped, and one AdamW step is applied;
+    validation runs after each complete epoch. A non-finite loss aborts with
+    a diagnostic. A run resumed from a checkpoint skips the batches of the
+    epoch that the checkpoint has done.
     """
     model_cfg.validate()
     train_cfg.validate()
@@ -445,6 +441,11 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     masks = build_masks(train_seqs, train_cfg.task, train_cfg.seed)
+    kept = [(s, m) for s, m in zip(train_seqs, masks)
+            if slot_roles(m, s.nan_mask())[2].any()]
+    if not kept:
+        raise EmptyMaskError("no training sequence has a target slot")
+    train_seqs, masks = map(list, zip(*kept))
     stop = False
     bs = train_cfg.batch_size
     n_batches = -(-len(train_seqs) // bs)
@@ -546,10 +547,10 @@ def evaluate(params: ModelParams, model_cfg: ModelConfig,
              seed: int = 0) -> tuple[MetricReport, Optional[np.ndarray]]:
     """Deterministic metrics over a sequence set.
 
-    Per-sequence metrics are averaged unweighted; ``d_count`` sums the
-    per-sequence D. FDE is reported only when every mask is a forecasting
-    mask. The confusion matrix is returned when the model classifies and the
-    data is labeled.
+    Per-sequence metrics are averaged unweighted over the sequences with a
+    target slot; ``d_count`` sums the per-sequence D. FDE is reported only
+    when every mask is a forecasting mask. The confusion matrix is returned
+    when the model classifies and the data is labeled.
     """
     def predict(seq, m, nan):
         out, _, traj = run_model(seq, m, model_cfg, params)
@@ -570,7 +571,7 @@ def evaluate_velocity_baseline(seqs: Sequence[TrajectorySequence],
 def _score(seqs, task, seed, predict):
     """The metric loop of both evaluations: ``predict(seq, mask, nan)``
     gives field-unit trajectories and the per-frame state scores to grade
-    (None for none)."""
+    (None for none). A sequence without a target slot is not scored."""
     if not seqs:
         raise DataError("evaluation needs at least one sequence")
     masks = build_masks(seqs, task, seed)
@@ -581,7 +582,10 @@ def _score(seqs, task, seed, predict):
     for seq, m in zip(seqs, masks):
         nan = seq.nan_mask()
         traj, scores = predict(seq, m, nan)
-        ades.append(ade_metric(traj, seq.positions, m, nan))
+        try:
+            ades.append(ade_metric(traj, seq.positions, m, nan))
+        except EmptyMaskError:
+            continue
         mx, d = max_err_metric(traj, seq.positions, m, nan)
         maxes.append(mx)
         d_total += d
@@ -592,6 +596,8 @@ def _score(seqs, task, seed, predict):
             accs.append(accuracy_metric(truth, scores))
             step_cm = confusion_matrix(truth, scores, scores.shape[-1])
             cm = step_cm if cm is None else cm + step_cm
+    if not ades:
+        raise EmptyMaskError("no sequence has a target slot to evaluate")
     report = MetricReport(
         ade=float(np.mean(ades)),
         fde=float(np.mean(fdes)) if fdes else None,

@@ -1,11 +1,11 @@
-"""Observation masks: task-mask builders, the CLS-extended mask, the NaN mask
-for absent data, and the learnable uncertainty mask used by the training loss.
+"""Observation masks: task-mask builders, the NaN mask for absent data, slot
+roles, and the learnable uncertainty mask used by the training loss.
 
 Masks are time-major ``[T x N]`` with 1 marking a hidden slot (to predict) and
 0 a visible one. Task predicates operate per agent column. A slot the NaN mask
 marks absent is never a prediction target, even where a task mask hides it:
 the model excludes it as a key and ignores its value, and no loss or metric
-weighs it.
+weighs it. :func:`slot_roles` is the one place that rule is written down.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ def nan_entries(nan_mask: Optional[np.ndarray], shape) -> np.ndarray:
     if arr.shape != tuple(shape):
         raise TaskViolationError(f"NaN mask shape {arr.shape} != {tuple(shape)}")
     return arr
+
+
+def slot_roles(m: ObservationMask, nan_mask: Optional[np.ndarray] = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boolean [T x N] ``(absent, visible, target)`` under task mask ``m``:
+    an absent slot is neither visible nor a target, even where ``m`` hides
+    it; the others are visible where ``m`` shows them, targets where it hides
+    them."""
+    absent = nan_entries(nan_mask, m.entries.shape).astype(bool)
+    hidden = m.entries.astype(bool)
+    return absent, ~hidden & ~absent, hidden & ~absent
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +175,6 @@ def build_camera_mask(positions: np.ndarray, ball_index: int,
     return ObservationMask(entries)
 
 
-def extend_mask_with_cls(m: ObservationMask) -> ObservationMask:
-    """Append the all-ones CLS column."""
-    cls_col = np.ones((m.T, 1), dtype=np.int8)
-    return ObservationMask(np.concatenate([m.entries, cls_col], axis=1))
-
-
 # ---------------------------------------------------------------------------
 # learnable uncertainty mask
 # ---------------------------------------------------------------------------
@@ -244,12 +249,11 @@ def build_uncertainty_mask(m: ObservationMask, theta,
     """Derive the uncertainty-weight patterns from ``m``.
 
     Neighborhood is computed per agent column; out-of-range neighbors do not
-    exist. The targets are the hidden slots that are not NaN-masked: a
-    NaN-masked slot never receives weight (it has no ground truth), even when
-    ``m`` hides it.
+    exist. Weight goes to the targets of :func:`slot_roles` and to visible
+    slots near them: an absent slot never receives weight (it has no ground
+    truth), even when ``m`` hides it.
     """
-    nan = nan_entries(nan_mask, m.entries.shape).astype(bool)
-    h = m.entries.astype(bool) & ~nan
+    _, visible, h = slot_roles(m, nan_mask)
 
     near = np.zeros_like(h)
     near[:-1] |= h[1:]
@@ -258,7 +262,6 @@ def build_uncertainty_mask(m: ObservationMask, theta,
     far[:-2] |= h[2:]
     far[2:] |= h[:-2]
 
-    visible = ~h & ~nan
     first = visible & near
     second = visible & ~near & far
     return UncertaintyMask(hidden=h.astype(np.int8),

@@ -16,22 +16,16 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import MhaParams, SabParams, set_attention_block
+from .attention import (MhaParams, RffnParams, SabParams, rffn_apply,
+                        set_attention_block)
 from .errors import ConfigError, DataError, ShapeError
-from .masking import (
-    ObservationMask,
-    extend_mask_with_cls,
-    initial_theta,
-    nan_entries,
-)
+from .masking import ObservationMask, initial_theta, slot_roles
 from .tensor import (
     DiffTensor,
     Parameter,
     add,
-    affine,
     concat_axis,
     mul,
-    relu,
     reshape,
     softmax_rows,
     split_axis,
@@ -72,20 +66,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
-
-
-@dataclass
-class RffnParams:
-    """Two affine layers with a rectified-linear unit between them."""
-
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-
-def rffn_apply(x, p: RffnParams) -> DiffTensor:
-    return affine(relu(affine(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 @dataclass
@@ -153,10 +133,7 @@ def _build_sab(params: ModelParams, prefix: str, d: int, n_heads: int,
         ln1_bias=params.register(f"{prefix}.ln1.bias", np.zeros(d)),
         ln2_gain=params.register(f"{prefix}.ln2.gain", np.ones(d)),
         ln2_bias=params.register(f"{prefix}.ln2.bias", np.zeros(d)),
-        ff_w1=params.register(f"{prefix}.rffn.w1", draw(d, hidden)),
-        ff_b1=params.register(f"{prefix}.rffn.b1", np.zeros(hidden)),
-        ff_w2=params.register(f"{prefix}.rffn.w2", draw(hidden, d)),
-        ff_b2=params.register(f"{prefix}.rffn.b2", np.zeros(d)),
+        rffn=_build_rffn(params, f"{prefix}.rffn", d, hidden, d, draw),
     )
 
 
@@ -255,9 +232,10 @@ def positional_encoding(T: int, d: int) -> np.ndarray:
 
 def embed_inputs(x_filled: np.ndarray, cfg: ModelConfig,
                  params: ModelParams) -> DiffTensor:
-    """Shared row-wise embedding of [T x N x C] inputs (hidden/NaN coordinate
-    channels already zero-filled). Agent type, when present, rides along as a
-    raw numeric channel and must be 0 (ball), 1 (offense) or 2 (defense)."""
+    """Shared row-wise embedding of [T x N x C] inputs (coordinate channels
+    zero-filled wherever not visible). Agent type, when present, rides along
+    as a raw numeric channel and must be 0 (ball), 1 (offense) or 2
+    (defense)."""
     x = np.asarray(x_filled, dtype=np.float64)
     if x.ndim != 3 or x.shape[-1] != cfg.input_channels:
         raise DataError(f"expected [T x N x {cfg.input_channels}] inputs, "
@@ -296,30 +274,24 @@ def _encoder(x: DiffTensor, temporal_key_mask: Optional[np.ndarray],
     return x, weights
 
 
-def encoder_coarse(j: DiffTensor, m_ext: ObservationMask, nan_ext: np.ndarray,
+def encoder_coarse(j: DiffTensor, blocked: np.ndarray, absent: np.ndarray,
                    params: ModelParams):
-    """Masked pass: hidden and NaN slots are excluded as temporal keys, NaN
-    slots as social keys. ``m_ext`` is the CLS-extended mask (or the plain
-    observation mask in the no-CLS variant)."""
-    combined = np.maximum(m_ext.entries, nan_ext)
-    temporal = combined.T[:, None, :].astype(np.float64)     # [A x 1 x T]
-    social = _social_mask(nan_ext)
-    return _encoder(j, temporal, social, params.encoder_c)
+    """Masked pass. ``blocked`` and ``absent`` are boolean [T x A] masks over
+    every agent, the CLS agent included: ``blocked`` (every slot that is not
+    visible) excludes temporal keys, ``absent`` social keys."""
+    return _encoder(j, blocked.T[:, None, :], _social_mask(absent),
+                    params.encoder_c)
 
 
-def encoder_fine(j: DiffTensor, nan_ext: np.ndarray, params: ModelParams):
-    """Unmasked pass over refined embeddings; only the NaN mask still
-    excludes keys."""
-    temporal = (nan_ext.T[:, None, :].astype(np.float64)
-                if nan_ext.any() else None)
-    social = _social_mask(nan_ext)
-    return _encoder(j, temporal, social, params.encoder_f)
+def encoder_fine(j: DiffTensor, absent: np.ndarray, params: ModelParams):
+    """Unmasked pass over refined embeddings; only the boolean [T x A]
+    ``absent`` mask still excludes keys, temporal and social."""
+    temporal = absent.T[:, None, :] if absent.any() else None
+    return _encoder(j, temporal, _social_mask(absent), params.encoder_f)
 
 
-def _social_mask(nan_ext: np.ndarray) -> Optional[np.ndarray]:
-    if not nan_ext.any():
-        return None
-    return nan_ext[:, None, :].astype(np.float64)  # [T x 1 x A]
+def _social_mask(absent: np.ndarray) -> Optional[np.ndarray]:
+    return absent[:, None, :] if absent.any() else None  # [T x 1 x A]
 
 
 @dataclass
@@ -328,8 +300,8 @@ class ForwardOutput:
 
     ``predictions`` is the raw network output (the loss consumes it so that
     uncertainty-weighted visible neighbors still receive gradient);
-    ``trajectories`` composites the exact input values back over visible,
-    non-NaN slots. ``attention`` holds head-averaged social attention stacks
+    ``trajectories`` composites the exact input values back over visible
+    slots. ``attention`` holds head-averaged social attention stacks
     ``[T x A x A]`` for the coarse and fine encoders (None without SAB_S).
     """
 
@@ -345,9 +317,11 @@ def forward(x_partial: np.ndarray, m: ObservationMask,
     """Run the full network on one sequence.
 
     ``x_partial`` is [T x N x C] in whatever coordinate frame the caller
-    trains in; values at hidden or NaN slots are ignored (their coordinate
-    channels are zero-filled before embedding) and visible values are
-    propagated to ``trajectories`` unchanged.
+    trains in. Roles come from :func:`~settraj.masking.slot_roles`: only
+    visible values are read (the others may be NaN), and they pass to
+    ``trajectories`` unchanged. The coarse temporal keys exclude every slot
+    that is not visible and the CLS agent; the other key masks exclude the
+    absent slots only.
     """
     cfg.validate()
     x = np.asarray(x_partial, dtype=np.float64)
@@ -356,23 +330,20 @@ def forward(x_partial: np.ndarray, m: ObservationMask,
     T, N, C = x.shape
     if m.entries.shape != (T, N):
         raise ShapeError(f"mask shape {m.entries.shape} != ({T}, {N})")
-    nan = nan_entries(nan_mask, (T, N))
-
-    blocked = (m.entries | nan).astype(bool)
+    absent, visible, _ = slot_roles(m, nan_mask)
+    blocked = ~visible
     x_filled = x.copy()
     x_filled[..., :2][blocked] = 0.0
 
     j = embed_inputs(x_filled, cfg, params)
     if cfg.with_cls:
         j = append_cls(j, params)
-        m_ext = extend_mask_with_cls(m)
-        nan_ext = np.concatenate([nan, np.zeros((T, 1), dtype=np.int8)], axis=1)
-    else:
-        m_ext = m
-        nan_ext = nan
+        cls = np.ones((T, 1), dtype=bool)
+        blocked = np.concatenate([blocked, cls], axis=1)
+        absent = np.concatenate([absent, ~cls], axis=1)
 
-    j, coarse_w = encoder_coarse(j, m_ext, nan_ext, params)
-    j, fine_w = encoder_fine(j, nan_ext, params)
+    j, coarse_w = encoder_coarse(j, blocked, absent, params)
+    j, fine_w = encoder_fine(j, absent, params)
 
     if cfg.with_cls:
         agents_part, cls_part = split_axis(j, [N, 1], axis=1)
@@ -383,8 +354,6 @@ def forward(x_partial: np.ndarray, m: ObservationMask,
         state_scores = None
 
     predictions = rffn_apply(agents_part, params.output_rffn)
-
-    visible = ~blocked
     trajectories = np.where(visible[..., None], x[..., :2], predictions.values)
 
     return ForwardOutput(

@@ -1,8 +1,8 @@
 """Training losses and evaluation metrics.
 
 Losses operate on graph tensors so gradients reach both the predictions and
-the uncertainty-mask logit. Metrics are plain numpy over hidden, non-NaN
-slots; distances are Euclidean in whatever unit the inputs carry.
+the uncertainty-mask logit. Metrics are plain numpy over the target slots
+(hidden, not absent); distances are Euclidean in the inputs' unit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyMaskError
-from .masking import ObservationMask, UncertaintyMask, nan_entries
+from .masking import ObservationMask, UncertaintyMask, slot_roles
 from .tensor import (
     DiffTensor,
     add,
@@ -136,16 +136,10 @@ def _distances(x_hat, x) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1)
 
 
-def _eval_mask(m: ObservationMask,
-               nan_mask: Optional[np.ndarray]) -> np.ndarray:
-    nan = nan_entries(nan_mask, m.entries.shape)
-    return (m.entries == 1) & (nan == 0)
-
-
 def ade_metric(x_hat, x, m: ObservationMask,
                nan_mask: Optional[np.ndarray] = None) -> float:
-    """Mean Euclidean error over hidden, non-NaN slots."""
-    sel = _eval_mask(m, nan_mask)
+    """Mean Euclidean error over the target slots."""
+    sel = slot_roles(m, nan_mask)[2]
     if not sel.any():
         raise EmptyMaskError("no hidden slots to evaluate")
     return float(_distances(x_hat, x)[sel].mean())
@@ -156,7 +150,7 @@ def fde_metric(x_hat, x, m: ObservationMask,
     """Mean error at each evaluated agent's last hidden timestep. Agents with
     no hidden slot are excluded; for a forecasting mask this is the classic
     final-displacement error."""
-    sel = _eval_mask(m, nan_mask)
+    sel = slot_roles(m, nan_mask)[2]
     dist = _distances(x_hat, x)
     agents = np.flatnonzero(sel.any(axis=0))
     if not agents.size:
@@ -169,7 +163,7 @@ def max_err_metric(x_hat, x, m: ObservationMask,
                    nan_mask: Optional[np.ndarray] = None) -> tuple[float, int]:
     """Per-agent maximum masked error averaged over the D agents that have at
     least one hidden slot. Returns ``(value, D)``."""
-    sel = _eval_mask(m, nan_mask)
+    sel = slot_roles(m, nan_mask)[2]
     dist = _distances(x_hat, x)
     agents = sel.any(axis=0)
     if not agents.any():

@@ -56,8 +56,8 @@ class DiffTensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def sum(self, axis=None, keepdims: bool = False) -> "DiffTensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self) -> "DiffTensor":
+        return tensor_sum(self)
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape})"
@@ -265,12 +265,12 @@ def log_clamped(x, floor: float = 1e-12) -> DiffTensor:
     return _emit(out, (x,), rule, "log_clamped")
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> DiffTensor:
+def tensor_sum(x) -> DiffTensor:
     x = as_tensor(x)
-    out = x.values.sum(axis=axis, keepdims=keepdims)
+    out = x.values.sum()
 
     def rule(g):  # _accum materializes the broadcast
-        _accum(x, g if axis is None or keepdims else np.expand_dims(g, axis))
+        _accum(x, g)
 
     return _emit(np.asarray(out), (x,), rule, "sum")
 

@@ -9,6 +9,7 @@ from settraj import attention as attention_mod
 from settraj import tensor as tx
 from settraj.attention import (
     MhaParams,
+    RffnParams,
     SabParams,
     masked_attention,
     multi_head_attention,
@@ -59,10 +60,10 @@ def random_sab(d, H, hidden, seed=0):
         mha=random_mha(d, H, seed),
         ln1_gain=mk("g1", np.ones(d)), ln1_bias=mk("b1", np.zeros(d)),
         ln2_gain=mk("g2", np.ones(d)), ln2_bias=mk("b2", np.zeros(d)),
-        ff_w1=mk("fw1", rng.normal(size=(d, hidden)) * 0.3),
-        ff_b1=mk("fb1", np.zeros(hidden)),
-        ff_w2=mk("fw2", rng.normal(size=(hidden, d)) * 0.3),
-        ff_b2=mk("fb2", np.zeros(d)),
+        rffn=RffnParams(w1=mk("fw1", rng.normal(size=(d, hidden)) * 0.3),
+                        b1=mk("fb1", np.zeros(hidden)),
+                        w2=mk("fw2", rng.normal(size=(hidden, d)) * 0.3),
+                        b2=mk("fb2", np.zeros(d))),
     )
 
 

@@ -12,7 +12,8 @@ import pytest
 
 import settraj
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
-from settraj.errors import ConfigError, DataError, NumericsError, ShapeError
+from settraj.errors import (ConfigError, DataError, EmptyMaskError,
+                            NumericsError, ShapeError)
 from settraj.harness import (
     AdamWState,
     Checkpoint,
@@ -522,6 +523,46 @@ class TestEvaluation:
                             hidden_agents="ball")
             masks = build_masks(tiny_dataset, task, seed=0)
             assert all(validate_task(m) == expected for m in masks)
+
+    def test_sequence_without_target_is_left_out(self):
+        # agent 1 is absent over all of its hidden frames in sequence 0, so
+        # that sequence has no target: training, evaluation and the baseline
+        # give what they give without it, and raise when no sequence is left
+        task = TaskSpec(kind="forecasting", predicted=(1,), t_hat=8)
+
+        def gapped(seq):
+            pos, valid = seq.positions.copy(), seq.validity.copy()
+            pos[8:, 1] = np.nan
+            valid[8:, 1] = 0
+            return dataclasses.replace(seq, positions=pos, validity=valid)
+
+        seqs = generate_possession_game(4, 12, 2, rng_seed=5)
+        seqs[0] = gapped(seqs[0])
+        rest = seqs[1:]
+        assert evaluate_velocity_baseline(seqs, task) == \
+            evaluate_velocity_baseline(rest, task)
+        params = init_params(TINY_MODEL, seed=8)
+        (got, got_cm), (want, want_cm) = (
+            evaluate(params, TINY_MODEL, s, task) for s in (seqs, rest))
+        assert got == want
+        np.testing.assert_array_equal(got_cm, want_cm)
+        cfg = tiny_train_cfg(task=task, batch_size=2)
+        (a, a_logs), (b, b_logs) = (train(s, TINY_MODEL, cfg)
+                                    for s in (seqs, rest))
+        assert a_logs == b_logs and a.step == b.step == 4
+        for name, p in a.params.named_parameters().items():
+            q = b.params.named_parameters()[name]
+            assert p.tensor.values.tobytes() == q.tensor.values.tobytes()
+            assert a.moments.m[name].tobytes() == b.moments.m[name].tobytes()
+            assert a.moments.v[name].tobytes() == b.moments.v[name].tobytes()
+
+        none_left = [gapped(s) for s in seqs]
+        with pytest.raises(EmptyMaskError):
+            train(none_left, TINY_MODEL, cfg)
+        with pytest.raises(EmptyMaskError):
+            evaluate(params, TINY_MODEL, none_left, task)
+        with pytest.raises(EmptyMaskError):
+            evaluate_velocity_baseline(none_left, task)
 
 
 class TestAttentionExport:

@@ -1,4 +1,4 @@
-"""Task masks, CLS extension, uncertainty mask, task classification."""
+"""Task masks, slot roles, uncertainty mask, task classification."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,8 @@ from settraj.masking import (
     build_inference_mask,
     build_percentage_mask,
     build_uncertainty_mask,
-    extend_mask_with_cls,
     initial_theta,
+    slot_roles,
     validate_task,
 )
 from settraj.tensor import DiffTensor, Parameter, Tape, backward, mul
@@ -160,23 +160,6 @@ class TestGeometricMasks:
             build_camera_mask(pos, 0, 90.0, (0.0, 0.0))
 
 
-class TestCLSExtension:
-    def test_shape_and_ones_column(self):
-        m = ObservationMask(np.zeros((3, 2), dtype=int))
-        ext = extend_mask_with_cls(m)
-        assert ext.entries.shape == (3, 3)
-        assert (ext.entries[:, 2] == 1).all()
-
-    def test_prefix_columns_preserved(self):
-        e = (np.random.default_rng(3).uniform(size=(7, 4)) > 0.5).astype(int)
-        ext = extend_mask_with_cls(ObservationMask(e))
-        np.testing.assert_array_equal(ext.entries[:, :4], e)
-
-    def test_soccer_shape(self):
-        m = build_forecasting_mask(60, 20, list(range(1, 23)), 23)
-        assert extend_mask_with_cls(m).entries.shape == (60, 24)
-
-
 def brute_force_uncertainty_column(col, w1):
     """Direct statement of the neighbor-weight rule for one agent column."""
     T = len(col)
@@ -267,6 +250,15 @@ class TestUncertaintyMask:
         np.testing.assert_allclose(unc.entries[:, 0],
                                    [0.0, 0.25, 0.75, 1.0, 0.75, 0.25, 0.0],
                                    atol=1e-12)
+        # slot_roles gives the same roles, with one more absent slot (t=5)
+        # that the task shows
+        absent[5, 0] = 1
+        roles = slot_roles(ObservationMask(col), absent)
+        want = ([1, 0, 0, 0, 0, 1, 0], [0, 1, 1, 0, 1, 0, 1],
+                [0, 0, 0, 1, 0, 0, 0])
+        for got, expected in zip(roles, want):
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got[:, 0], np.array(expected, bool))
 
     def test_theta_gradient_flows(self):
         theta = Parameter("theta", DiffTensor(np.float64(initial_theta())))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from settraj import attention
 from settraj.errors import ConfigError, DataError
 from settraj.masking import (
     ObservationMask,
@@ -186,6 +187,35 @@ class TestForward:
         dist = np.linalg.norm(a.trajectories - truth, axis=-1)
         assert ade_metric(a.trajectories, truth, m, nan) == \
             pytest.approx(dist[[3, 5], [1, 1]].mean(), rel=1e-12)
+
+    def test_key_masks(self, tiny_params, monkeypatch):
+        # The coarse temporal keys exclude every hidden, absent and CLS slot;
+        # the fine temporal and both social masks exclude exactly the absent
+        # slots and never the CLS agent. (1, 0) is absent and visible by the
+        # task, (4, 1) absent and hidden.
+        x = make_inputs(6, 4, seed=13)
+        m = build_forecasting_mask(6, 3, [1, 2], 4)
+        nan = np.zeros((6, 4), dtype=np.int8)
+        nan[[1, 4], [0, 1]] = 1
+        seen, original = [], attention.masked_attention
+
+        def recording(q, k, v, mask=None, heads=1):
+            seen.append(mask)
+            return original(q, k, v, mask, heads)
+
+        monkeypatch.setattr(attention, "masked_attention", recording)
+        forward(x, m, nan, TINY, tiny_params)
+        cls = np.ones((6, 1), dtype=bool)
+        coarse = np.concatenate([(m.entries == 1) | (nan == 1), cls], axis=1)
+        absent = np.concatenate([nan == 1, ~cls], axis=1)
+        # temporal masks are [A x 1 x T], social ones [T x 1 x A]
+        coarse_t, fine_t, social = (coarse.T[:, None], absent.T[:, None],
+                                    absent[:, None])
+        # in call order: coarse t1, t2, s, then fine t1, t2, s
+        want = [coarse_t, coarse_t, social, fine_t, fine_t, social]
+        assert len(seen) == len(want)
+        for got, expected in zip(seen, want):
+            np.testing.assert_array_equal(np.asarray(got) != 0, expected)
 
     def test_fully_hidden_agent_runs(self, tiny_params):
         x = make_inputs(6, 4, seed=10)

@@ -20,11 +20,11 @@ from settraj.masking import (
     ObservationMask,
     _as_binary,
     nan_entries,
+    slot_roles,
     validate_task,
 )
 from settraj.model import ModelConfig, embed_inputs, init_params
-from settraj.objectives import _distances, _eval_mask, fde_metric, \
-    max_err_metric
+from settraj.objectives import _distances, fde_metric, max_err_metric
 from settraj.tensor import DiffTensor
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def reference_velocity_baseline(x_partial, m, nan_mask=None):
 
 
 def reference_fde_metric(x_hat, x, m, nan_mask=None):
-    sel = _eval_mask(m, nan_mask)
+    sel = slot_roles(m, nan_mask)[2]
     dist = _distances(x_hat, x)
     finals = []
     for n in range(sel.shape[1]):
@@ -71,7 +71,7 @@ def reference_fde_metric(x_hat, x, m, nan_mask=None):
 
 
 def reference_max_err_metric(x_hat, x, m, nan_mask=None):
-    sel = _eval_mask(m, nan_mask)
+    sel = slot_roles(m, nan_mask)[2]
     dist = _distances(x_hat, x)
     maxima = []
     for n in range(sel.shape[1]):

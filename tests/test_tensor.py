@@ -295,7 +295,8 @@ def composed_sab(x, m, p):
     x = tx.as_tensor(x)
     attn, weights = multi_head_attention(x, x, x, m, p.mha)
     h = tx.layer_norm(tx.add(x, attn), p.ln1_gain, p.ln1_bias)
-    ff = tx.affine(tx.relu(tx.affine(h, p.ff_w1, p.ff_b1)), p.ff_w2, p.ff_b2)
+    f = p.rffn
+    ff = tx.affine(tx.relu(tx.affine(h, f.w1, f.b1)), f.w2, f.b2)
     return tx.layer_norm(tx.add(h, ff), p.ln2_gain, p.ln2_bias), weights
 
 
