@@ -11,6 +11,7 @@ Axis convention throughout: ``[T x A x d]`` with time first, agents second
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,9 +217,11 @@ def count_parameters(cfg: ModelConfig) -> int:
 # forward pass
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def positional_encoding(T: int, d: int) -> np.ndarray:
     """Sinusoidal [T x d] encoding: sin at even channels, cos at odd ones,
-    wavelength 10000^(2i/d). Added along time only, identical for agents."""
+    wavelength 10000^(2i/d). Added along time only, identical for agents.
+    Cached per ``(T, d)`` and returned read-only."""
     if d % 2 != 0:
         raise ConfigError("positional encoding needs an even width")
     pos = np.arange(T, dtype=np.float64)[:, None]
@@ -227,6 +230,7 @@ def positional_encoding(T: int, d: int) -> np.ndarray:
     pe = np.empty((T, d), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 

@@ -76,13 +76,15 @@ class Tape:
     """Ordered record of operations for one reverse-mode sweep.
 
     A tape is single-writer: build a forward pass inside ``with Tape() as t:``
-    and call :func:`backward` once. Tapes confined to different forward passes
-    are independent; parameter gradients accumulate across sweeps until
-    explicitly zeroed.
+    and call :func:`backward` once. Backward consumes the tape: it empties
+    ``ops`` as it goes, and a second backward raises ``ConfigError``. Tapes
+    confined to different forward passes are independent; parameter
+    gradients accumulate across sweeps until explicitly zeroed.
     """
 
     ops: list = field(default_factory=list)  # (output, inputs, rule) triples
     watched: list = field(default_factory=list)
+    consumed: bool = field(default=False, init=False)
 
     def record(self, output: DiffTensor, inputs: Sequence[DiffTensor],
                rule: Callable[[np.ndarray], None]) -> None:
@@ -107,16 +109,24 @@ def backward(loss: DiffTensor, tape: Tape) -> None:
     ``loss`` must be scalar. Gradients add onto any pre-existing grads, as new
     read-only arrays, which is what batched training relies on. Watched
     tensors that the loss cannot reach end up with all-zero grads.
+
+    Each entry is popped off ``tape.ops`` and dropped once its rule has run,
+    so the arrays the node saved for its backward, and the output and
+    gradient of every intermediate no caller holds, are freed during the
+    sweep, not after it. A tape serves one backward.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+    if tape.consumed:
+        raise ConfigError("backward() on a tape that was already consumed")
+    tape.consumed = True
     for t in tape.watched:
         if t.grad is None:
-            t.grad = np.zeros_like(t.values)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.values)
-    loss.grad = loss.grad + np.ones_like(loss.values)
-    for output, _inputs, rule in reversed(tape.ops):
+            _accum(t, np.zeros_like(t.values))
+    _accum(loss, np.ones_like(loss.values))
+    ops = tape.ops
+    while ops:
+        output, _inputs, rule = ops.pop()
         if output.grad is not None:
             rule(output.grad)
 

@@ -1,6 +1,8 @@
 """Masked attention, multi-head attention and set attention blocks."""
 
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -610,6 +612,52 @@ class TestSetAttentionBlock:
         harness._train_step(seq, harness.build_masks([seq], task, 0)[0], cfg,
                             params, 1)
         assert sizes == [102]
+
+    def test_backward_frees_unheld_intermediates(self):
+        p = random_sab(8, 2, 16, seed=37)
+        x = DiffTensor(rnd((5, 3, 8), 38))
+        with Tape() as tape:
+            out, _ = set_attention_block(x, np.zeros((5, 1, 3)), p)
+            loss = tx.mul(out, out).sum()
+        relu_out = [o for o, _, rule in tape.ops
+                    if rule.__qualname__.startswith("relu.")]
+        assert len(relu_out) == 1
+        freed = weakref.ref(relu_out.pop().values)
+        backward(loss, tape)
+        assert tape.ops == []
+        assert freed() is None
+        assert x.grad is not None and p.rffn.w1.tensor.grad is not None
+
+    def test_desk_backward_peak_stays_near_forward_size(self, monkeypatch):
+        # Each node's saved arrays are freed once its rule has run, so the
+        # sweep's traced peak stays near what the forward left (about 1.015x);
+        # a tape held until the sweep ends peaks at about 1.64x.
+        from settraj import harness, model
+        from settraj.data import generate_possession_game
+        cfg = model.ModelConfig(d=32, n_heads=4, sab_hidden=64)
+        seq = generate_possession_game(1, 50, 5, rng_seed=39)[0]
+        assert seq.positions.shape[:2] == (50, 11)
+        task = harness.TaskSpec(kind="forecasting", predicted="players",
+                                t_hat=10)
+        mask = harness.build_masks([seq], task, 0)[0]
+        params = model.init_params(cfg, seed=40)
+        sizes = []
+
+        def measuring_backward(loss, tape):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            sizes.append((before, tracemalloc.get_traced_memory()[1]))
+
+        monkeypatch.setattr(harness, "backward", measuring_backward)
+        tracemalloc.start()
+        try:
+            harness._train_step(seq, mask, cfg, params, 1)
+        finally:
+            tracemalloc.stop()
+        (before, peak), = sizes
+        assert before > 10e6  # the forward's tape is held at this point
+        assert peak <= 1.1 * before, peak / before
 
     def test_fully_masked_agent_passes_residual(self):
         # with all keys excluded the attention adds zero; the block reduces

@@ -61,6 +61,17 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             positional_encoding(4, 7)
 
+    def test_cached_read_only(self):
+        pe = positional_encoding(50, 32)
+        assert positional_encoding(50, 32) is pe
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        np.testing.assert_array_equal(pe,
+                                      positional_encoding.__wrapped__(50, 32))
+        with pytest.raises(ConfigError):  # a raise is not cached
+            positional_encoding(4, 7)
+
 
 class TestEmbedding:
     def test_identical_rows_embed_identically(self, tiny_params):

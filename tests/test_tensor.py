@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from settraj import tensor as tx
-from settraj.errors import NumericsError, ShapeError
+from settraj.errors import ConfigError, NumericsError, ShapeError
 
 
 def rnd(shape, seed=0):
@@ -275,6 +275,33 @@ class TestBackward:
             kept = out.values.copy()
             tx.backward(out.sum(), tape)
         np.testing.assert_array_equal(out.values, kept)
+
+    def test_consumed_tape_refuses_second_backward(self):
+        a = tx.DiffTensor(rnd((2, 2), 21))
+        b = tx.DiffTensor(rnd((2, 2), 22))
+        with tx.Tape() as tape:
+            ab = tx.matmul(a, b)
+            loss = tx.mul(ab, ab).sum()
+            tx.backward(loss, tape)
+            once = a.grad.copy()
+            with pytest.raises(ConfigError, match="consumed"):
+                tx.backward(loss, tape)
+        np.testing.assert_array_equal(a.grad, once)
+        np.testing.assert_allclose(once, 2.0 * ab.values @ b.values.T,
+                                   rtol=1e-13)
+
+    def test_loss_and_unreached_watched_grads_are_read_only(self):
+        p = tx.DiffTensor([1.0, 2.0])
+        q = tx.DiffTensor([5.0])
+        with tx.Tape() as tape:
+            tape.watch(q)
+            loss = tx.mul(p, p).sum()
+            tx.backward(loss, tape)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        for g in (loss.grad, q.grad):
+            with pytest.raises(ValueError):
+                g[...] = 7.0
+        np.testing.assert_array_equal(q.grad, [0.0])
 
 
 def copying_accum(t, g):
