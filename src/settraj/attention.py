@@ -17,7 +17,6 @@ import numpy as np
 
 from .tensor import (
     DiffTensor,
-    Parameter,
     ShapeError,
     _accum,
     _emit,
@@ -136,10 +135,10 @@ class MhaParams:
     """Fused projections for multi-head attention: head h of ``wq``, ``wk``
     and ``wv`` is columns ``h*dh:(h+1)*dh`` with ``dh = d / n_heads``."""
 
-    wq: Parameter  # [d, d]
-    wk: Parameter
-    wv: Parameter
-    wo: Parameter  # [d, d]
+    wq: DiffTensor  # [d, d]
+    wk: DiffTensor
+    wv: DiffTensor
+    wo: DiffTensor  # [d, d]
     n_heads: int
 
 
@@ -152,23 +151,23 @@ def multi_head_attention(q, k, v, m: Optional[np.ndarray], p: MhaParams):
     ``(output, head_avg_weights)``; the weights are the per-head attention
     matrices averaged over heads (plain ndarray, for export).
     """
-    out, w = masked_attention(matmul(q, p.wq.tensor), matmul(k, p.wk.tensor),
-                              matmul(v, p.wv.tensor), m, heads=p.n_heads)
+    out, w = masked_attention(matmul(q, p.wq), matmul(k, p.wk),
+                              matmul(v, p.wv), m, heads=p.n_heads)
     w, H = w.values, p.n_heads
     if H > 1:  # the head average as one vector-matrix product
         w = (np.full(H, 1.0 / H) @ w.reshape(w.shape[:-3] + (H, -1))
              ).reshape(w.shape[:-3] + w.shape[-2:])
-    return matmul(out, p.wo.tensor), w
+    return matmul(out, p.wo), w
 
 
 @dataclass
 class RffnParams:
     """Two affine layers with a rectified-linear unit between them."""
 
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
+    w1: DiffTensor
+    b1: DiffTensor
+    w2: DiffTensor
+    b2: DiffTensor
 
 
 def rffn_apply(x, p: RffnParams) -> DiffTensor:
@@ -181,10 +180,10 @@ class SabParams:
     """Parameters of one set attention block."""
 
     mha: MhaParams
-    ln1_gain: Parameter
-    ln1_bias: Parameter
-    ln2_gain: Parameter
-    ln2_bias: Parameter
+    ln1_gain: DiffTensor
+    ln1_bias: DiffTensor
+    ln2_gain: DiffTensor
+    ln2_bias: DiffTensor
     rffn: RffnParams  # d -> hidden -> d
 
 

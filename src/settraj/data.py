@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -44,8 +45,9 @@ class PitchSpec:
     unit: str = "meters"
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0:
-            raise ConfigError("pitch dimensions must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.length, self.width)):
+            raise ConfigError("pitch dimensions must be finite and positive")
         if self.unit not in ("meters", "feet"):
             raise ConfigError(f"unknown unit {self.unit!r}")
 
@@ -246,6 +248,8 @@ def load_sequences(path) -> list[TrajectorySequence]:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
             pitch = PitchSpec(**meta["pitch"])
             rate = float(meta["frame_rate_hz"])
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"frame_rate_hz {rate} is not a positive rate")
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{meta_file}: bad metadata sidecar: {e!r}") from e
     else:

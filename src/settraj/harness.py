@@ -187,8 +187,12 @@ class TrainConfig:
     def validate(self) -> None:
         for name in ("epochs", "batch_size", "lr", "adam_eps",
                      "grad_clip_threshold", "lr_decay_every"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be nonnegative")
+        if not 0 < self.lr_decay_factor <= 1:
+            raise ConfigError("lr_decay_factor must lie in (0, 1]")
         if self.clip_mode not in ("norm", "value"):
             raise ConfigError("clip_mode must be 'norm' or 'value'")
         if self.init_scheme != "xavier_normal":
@@ -235,9 +239,9 @@ class AdamWState:
     """First/second moment buffers per parameter name."""
 
     def __init__(self, params: ModelParams):
-        self.m = {k: np.zeros_like(p.tensor.values)
+        self.m = {k: np.zeros_like(p.values)
                   for k, p in params.named_parameters().items()}
-        self.v = {k: np.zeros_like(p.tensor.values)
+        self.v = {k: np.zeros_like(p.values)
                   for k, p in params.named_parameters().items()}
 
 
@@ -262,9 +266,9 @@ def adamw_step(params: ModelParams, grads: dict, moments: AdamWState,
         v = moments.v[name] = b2 * moments.v[name] + (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p.tensor.values = p.tensor.values - lr * (
+        p.values = p.values - lr * (
             m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-            + cfg.weight_decay * p.tensor.values)
+            + cfg.weight_decay * p.values)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ class Checkpoint:
         used exactly as given (no ``.npz`` suffix is appended)."""
         arrays = {}
         for name, p in self.params.named_parameters().items():
-            arrays[f"param:{name}"] = p.tensor.values
+            arrays[f"param:{name}"] = p.values
             arrays[f"adam_m:{name}"] = self.moments.m[name]
             arrays[f"adam_v:{name}"] = self.moments.v[name]
         meta = {
@@ -330,10 +334,10 @@ class Checkpoint:
                 for kind, store in (("adam_m", moments.m),
                                     ("adam_v", moments.v)):
                     arr = data[f"{kind}:{name}"]
-                    if arr.shape != p.tensor.values.shape:
+                    if arr.shape != p.values.shape:
                         raise DataError(
                             f"{path}: {kind}:{name} has shape {arr.shape}, "
-                            f"expected {p.tensor.values.shape}")
+                            f"expected {p.values.shape}")
                     store[name] = np.ascontiguousarray(arr, dtype=np.float64)
             return cls(model_cfg=model_cfg, params=params, moments=moments,
                        train_cfg=train_cfg, epoch=meta["epoch"],
@@ -418,6 +422,8 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     """
     model_cfg.validate()
     train_cfg.validate()
+    if max_steps is not None and max_steps < 1:
+        raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
     if not train_seqs:
         raise DataError("training needs at least one sequence")
     needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0
@@ -463,10 +469,9 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
                 seq = train_seqs[idx]
                 reports.append(_train_step(seq, masks[idx], model_cfg,
                                            params, len(batch)))
-            grads = {}
-            for name, p in params.named_parameters().items():
-                grads[name] = (p.tensor.grad if p.tensor.grad is not None
-                               else np.zeros_like(p.tensor.values))
+            grads = {name: (p.grad if p.grad is not None
+                            else np.zeros_like(p.values))
+                     for name, p in params.named_parameters().items()}
             clip = train_cfg.grad_clip_threshold
             grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
             factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, TaskViolationError
-from .tensor import DiffTensor, Parameter, add, as_tensor, mul, scale, sigmoid
+from .tensor import DiffTensor, add, as_tensor, mul, scale, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -195,27 +195,19 @@ class UncertaintyMask:
     hidden: np.ndarray  # {0,1}, weight 1
     first: np.ndarray   # {0,1}, weight w1
     second: np.ndarray  # {0,1}, weight w2
-    theta: Union[Parameter, DiffTensor, float, None]
+    theta: Union[DiffTensor, float, None]
 
     @property
     def w1(self) -> float:
         if self.theta is None:
             return float("nan")
-        t = self._theta_value()
+        t = as_tensor(self.theta).item()
         return float(1.0 / (1.0 + np.exp(-t))) if t >= 0 else \
             float(np.exp(t) / (1.0 + np.exp(t)))
 
     @property
     def w2(self) -> float:
         return 1.0 - self.w1
-
-    def _theta_value(self) -> float:
-        t = self.theta
-        if isinstance(t, Parameter):
-            return float(t.tensor.values.reshape(()))
-        if isinstance(t, DiffTensor):
-            return float(t.values.reshape(()))
-        return float(t)
 
     @property
     def entries(self) -> np.ndarray:
@@ -230,9 +222,7 @@ class UncertaintyMask:
         base = DiffTensor(self.hidden.astype(np.float64))
         if self.theta is None:
             return base
-        theta_t = (self.theta.tensor if isinstance(self.theta, Parameter)
-                   else as_tensor(self.theta))
-        w1 = sigmoid(theta_t)
+        w1 = sigmoid(self.theta)
         w2 = add(scale(w1, -1.0), DiffTensor(np.float64(1.0)))
         out = add(base, mul(w1, DiffTensor(self.first.astype(np.float64))))
         return add(out, mul(w2, DiffTensor(self.second.astype(np.float64))))

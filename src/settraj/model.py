@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .masking import ObservationMask, initial_theta, slot_roles
 from .tensor import (
     DiffTensor,
-    Parameter,
     add,
     concat_axis,
     mul,
@@ -50,6 +49,8 @@ class ModelConfig:
     with_unc_mask: bool = True
 
     def validate(self) -> None:
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.d % 2 != 0:
@@ -80,31 +81,30 @@ class ModelParams:
     """All learnable weights, addressable by dotted name in a fixed order."""
 
     def __init__(self):
-        self._by_name: dict[str, Parameter] = {}
+        self._by_name: dict[str, DiffTensor] = {}
         self.input_rffn: RffnParams = None
-        self.cls_embedding: Optional[Parameter] = None
+        self.cls_embedding: Optional[DiffTensor] = None
         self.encoder_c: EncoderParams = None
         self.encoder_f: EncoderParams = None
         self.output_rffn: RffnParams = None
         self.classifier_rffn: Optional[RffnParams] = None
-        self.unc_theta: Optional[Parameter] = None
+        self.unc_theta: Optional[DiffTensor] = None
 
-    def register(self, name: str, values) -> Parameter:
+    def register(self, name: str, values) -> DiffTensor:
         if name in self._by_name:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name=name, tensor=DiffTensor(values))
-        self._by_name[name] = p
+        p = self._by_name[name] = DiffTensor(values)
         return p
 
-    def named_parameters(self) -> dict[str, Parameter]:
+    def named_parameters(self) -> dict[str, DiffTensor]:
         return dict(self._by_name)
 
     def zero_grad(self) -> None:
         for p in self._by_name.values():
-            p.tensor.grad = None
+            p.grad = None
 
     def n_parameters(self) -> int:
-        return sum(p.tensor.values.size for p in self._by_name.values())
+        return sum(p.values.size for p in self._by_name.values())
 
 
 def _build_rffn(params: ModelParams, prefix: str, d_in: int, hidden: int,
@@ -187,10 +187,10 @@ def init_params(cfg: ModelConfig, seed: int,
             if name not in arrays:
                 raise ConfigError(f"checkpoint missing parameter {name!r}")
             arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-            if p.tensor.values.shape != arr.shape:
+            if p.values.shape != arr.shape:
                 raise ShapeError(f"checkpoint parameter {name!r} has shape "
-                                 f"{arr.shape}, expected {p.tensor.values.shape}")
-            p.tensor.values = arr
+                                 f"{arr.shape}, expected {p.values.shape}")
+            p.values = arr
         extra = set(arrays) - set(params._by_name)
         if extra:
             raise ConfigError(f"checkpoint has unknown parameters {sorted(extra)}")
@@ -256,7 +256,7 @@ def append_cls(j0: DiffTensor, params: ModelParams) -> DiffTensor:
     T = j0.shape[0]
     d = j0.shape[2]
     ones = DiffTensor(np.ones((T, 1, 1)))
-    cls_block = mul(ones, reshape(params.cls_embedding.tensor, (1, 1, d)))
+    cls_block = mul(ones, reshape(params.cls_embedding, (1, 1, d)))
     return concat_axis([j0, cls_block], axis=1)
 
 

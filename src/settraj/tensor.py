@@ -18,7 +18,7 @@ from .errors import ConfigError, NumericsError, ShapeError
 
 __all__ = [
     "ConfigError", "NumericsError", "ShapeError",
-    "DiffTensor", "Parameter", "Tape", "GradCheckReport",
+    "DiffTensor", "Tape", "GradCheckReport",
     "active_tape", "add", "affine", "as_tensor", "backward", "concat_axis",
     "div", "euclidean_norm", "grad_check", "layer_norm",
     "log_clamped", "matmul", "mul", "relu", "reshape", "scale", "sigmoid",
@@ -61,14 +61,6 @@ class DiffTensor:
 
     def __repr__(self):
         return f"DiffTensor(shape={self.shape})"
-
-
-@dataclass
-class Parameter:
-    """A named learnable tensor. Names are dotted paths, unique per model."""
-
-    name: str
-    tensor: DiffTensor
 
 
 @dataclass
@@ -398,11 +390,10 @@ def softmax_rows(x) -> DiffTensor:
 
 def layer_norm(x, gain, bias, eps: float = 1e-5, *, residual=None) -> DiffTensor:
     """Normalize the last axis of ``x`` (of ``x + residual``, in one node) to
-    mean 0 / variance 1, then scale and shift."""
-    x = as_tensor(x)
+    mean 0 / variance 1, then scale and shift. Every operand is a tensor or
+    an array (taken as a constant)."""
+    x, gvals, bvals = as_tensor(x), as_tensor(gain), as_tensor(bias)
     r = None if residual is None else as_tensor(residual)
-    gvals = gain.tensor if isinstance(gain, Parameter) else as_tensor(gain)
-    bvals = bias.tensor if isinstance(bias, Parameter) else as_tensor(bias)
     d = x.values.shape[-1]
     if gvals.values.shape != (d,) or bvals.values.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
@@ -436,10 +427,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, *, residual=None) -> DiffTensor
 
 
 def affine(x, w, b) -> DiffTensor:
-    """x @ w + b applied to every row of the leading axes."""
-    x = as_tensor(x)
-    wt = w.tensor if isinstance(w, Parameter) else as_tensor(w)
-    bt = b.tensor if isinstance(b, Parameter) else as_tensor(b)
+    """x @ w + b applied to every row of the leading axes. Every operand is a
+    tensor or an array (taken as a constant)."""
+    x, wt, bt = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.shape[-1] != wt.values.shape[0]:
         raise ShapeError(f"affine: input dim {x.shape} vs weight {wt.shape}")
     if bt.values.shape != (wt.values.shape[1],):

@@ -38,7 +38,7 @@ from settraj.objectives import (
     max_err_metric,
     total_loss,
 )
-from settraj.tensor import DiffTensor, Parameter, Tape, backward
+from settraj.tensor import DiffTensor, Tape, backward
 
 from test_objectives import (
     brute_acc,
@@ -170,14 +170,14 @@ def test_criterion_01_gradient_correctness():
     params.zero_grad()
     with Tape() as tape:
         for p in params.named_parameters().values():
-            tape.watch(p.tensor)
+            tape.watch(p)
         backward(model_loss(), tape)
 
     worst = 0.0
     step = 1e-5
     for name, p in params.named_parameters().items():
-        analytic = p.tensor.grad
-        flat = p.tensor.values.reshape(-1)
+        analytic = p.grad
+        flat = p.values.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
@@ -344,13 +344,13 @@ def test_criterion_05_uncertainty_mask_rule():
             count += 1
 
     # gradient w.r.t. theta on a boundary-error fixture
-    theta_p = Parameter("unc_theta", DiffTensor(np.float64(theta)))
+    theta_p = DiffTensor(np.float64(theta))
     m = ObservationMask(np.array([0, 0, 1, 1, 0, 0])[:, None])
     unc = build_uncertainty_mask(m, theta_p)
     pred = DiffTensor(np.linspace(0, 5, 12).reshape(6, 1, 2))
     with Tape() as tape:
         backward(ade_loss(pred, np.zeros((6, 1, 2)), unc), tape)
-    ok &= theta_p.tensor.grad is not None and abs(theta_p.tensor.grad).max() > 0
+    ok &= theta_p.grad is not None and abs(theta_p.grad).max() > 0
 
     elapsed = time.monotonic() - t0
     ok &= elapsed < 10.0
@@ -457,8 +457,8 @@ def test_criterion_09_reproducibility(tmp_path):
 
     ok = metrics_a == metrics_b and log_a == log_b
     for name, p in ck_a.params.named_parameters().items():
-        other = ck_b.params.named_parameters()[name].tensor.values
-        ok &= (p.tensor.values == other).all()
+        other = ck_b.params.named_parameters()[name].values
+        ok &= (p.values == other).all()
         ok &= (ck_a.moments.m[name] == ck_b.moments.m[name]).all()
 
     # save -> load -> resume equals the uninterrupted run, bit-exactly
@@ -468,15 +468,15 @@ def test_criterion_09_reproducibility(tmp_path):
     half.save(tmp_path / "half.npz")
     reloaded = Checkpoint.load(tmp_path / "half.npz")
     for name, p in half.params.named_parameters().items():
-        ok &= (p.tensor.values
-               == reloaded.params.named_parameters()[name].tensor.values).all()
+        ok &= (p.values
+               == reloaded.params.named_parameters()[name].values).all()
     resumed, _ = train(seqs, cfg,
                        TrainConfig(**{**tc.to_dict(), "epochs": 4,
                                       "task": tc.task}),
                        resume_from=reloaded)
     for name, p in full.params.named_parameters().items():
-        ok &= (p.tensor.values
-               == resumed.params.named_parameters()[name].tensor.values).all()
+        ok &= (p.values
+               == resumed.params.named_parameters()[name].values).all()
     report(9, ok, "identical seeds give bit-identical checkpoints and metric "
                   "CSVs; save/load/resume is bit-exact")
 
@@ -498,8 +498,8 @@ def test_criterion_09_mid_epoch_resume(tmp_path):
         == [(l.step, l.epoch) for l in full_logs[4:]]
     ok &= (resumed.epoch, resumed.batch, resumed.step) == (3, 0, 9)
     for name, p in full.params.named_parameters().items():
-        ok &= (p.tensor.values
-               == resumed.params.named_parameters()[name].tensor.values).all()
+        ok &= (p.values
+               == resumed.params.named_parameters()[name].values).all()
     report(9, ok, "resuming a checkpoint taken mid-epoch finishes that "
                   "epoch and ends bit-exactly where the uninterrupted run "
                   "does")

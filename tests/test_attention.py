@@ -18,7 +18,7 @@ from settraj.attention import (
     set_attention_block,
 )
 from settraj.errors import ConfigError
-from settraj.tensor import DiffTensor, Parameter, Tape, backward
+from settraj.tensor import DiffTensor, Tape, backward
 
 
 def rnd(shape, seed=0):
@@ -43,29 +43,26 @@ def composed_attention(q, k, v, m):
 
 
 def identity_mha(d):
-    eye = lambda name: Parameter(name, DiffTensor(np.eye(d)))
-    return MhaParams(wq=eye("q"), wk=eye("k"), wv=eye("v"), wo=eye("o"),
-                     n_heads=1)
+    eye = lambda: DiffTensor(np.eye(d))
+    return MhaParams(wq=eye(), wk=eye(), wv=eye(), wo=eye(), n_heads=1)
 
 
 def random_mha(d, H, seed=0):
     rng = np.random.default_rng(seed)
-    mk = lambda name, shape: Parameter(name, DiffTensor(rng.normal(size=shape)))
-    return MhaParams(wq=mk("wq", (d, d)), wk=mk("wk", (d, d)),
-                     wv=mk("wv", (d, d)), wo=mk("wo", (d, d)), n_heads=H)
+    mk = lambda: DiffTensor(rng.normal(size=(d, d)))
+    return MhaParams(wq=mk(), wk=mk(), wv=mk(), wo=mk(), n_heads=H)
 
 
 def random_sab(d, H, hidden, seed=0):
     rng = np.random.default_rng(seed)
-    mk = lambda name, arr: Parameter(name, DiffTensor(arr))
     return SabParams(
         mha=random_mha(d, H, seed),
-        ln1_gain=mk("g1", np.ones(d)), ln1_bias=mk("b1", np.zeros(d)),
-        ln2_gain=mk("g2", np.ones(d)), ln2_bias=mk("b2", np.zeros(d)),
-        rffn=RffnParams(w1=mk("fw1", rng.normal(size=(d, hidden)) * 0.3),
-                        b1=mk("fb1", np.zeros(hidden)),
-                        w2=mk("fw2", rng.normal(size=(hidden, d)) * 0.3),
-                        b2=mk("fb2", np.zeros(d))),
+        ln1_gain=DiffTensor(np.ones(d)), ln1_bias=DiffTensor(np.zeros(d)),
+        ln2_gain=DiffTensor(np.ones(d)), ln2_bias=DiffTensor(np.zeros(d)),
+        rffn=RffnParams(w1=DiffTensor(rng.normal(size=(d, hidden)) * 0.3),
+                        b1=DiffTensor(np.zeros(hidden)),
+                        w2=DiffTensor(rng.normal(size=(hidden, d)) * 0.3),
+                        b2=DiffTensor(np.zeros(d))),
     )
 
 
@@ -440,7 +437,7 @@ class TestSoftmaxPaths:
             warnings.simplefilter("error")
             _, w = multi_head_attention(x, x, x, m, p)
             _, heads = masked_attention(
-                *(tx.matmul(x, p_.tensor) for p_ in (p.wq, p.wk, p.wv)), m,
+                *(tx.matmul(x, w) for w in (p.wq, p.wk, p.wv)), m,
                 heads=4)
         assert heads.shape == (3, 4, 6, 6) and w.shape == (3, 6, 6)
         np.testing.assert_allclose(w, heads.values.mean(axis=-3), rtol=0,
@@ -626,7 +623,7 @@ class TestSetAttentionBlock:
         backward(loss, tape)
         assert tape.ops == []
         assert freed() is None
-        assert x.grad is not None and p.rffn.w1.tensor.grad is not None
+        assert x.grad is not None and p.rffn.w1.grad is not None
 
     def test_desk_backward_peak_stays_near_forward_size(self, monkeypatch):
         # Each node's saved arrays are freed once its rule has run, so the

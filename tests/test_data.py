@@ -546,6 +546,12 @@ class TestMalformedFiles:
         '{"frame_rate_hz": 6.25, "pitch": {"length": 1, "depth": 2}}',
         '{"frame_rate_hz": "fast", "pitch": {}}',
         '{"frame_rate_hz": 6.25, "pitch": {"length": -1}}',
+        '{"frame_rate_hz": 6.25, "pitch": {"length": Infinity}}',
+        '{"frame_rate_hz": 6.25, "pitch": {"width": NaN}}',
+        '{"frame_rate_hz": -6.25, "pitch": {}}',
+        '{"frame_rate_hz": 0, "pitch": {}}',
+        '{"frame_rate_hz": NaN, "pitch": {}}',
+        '{"frame_rate_hz": Infinity, "pitch": {}}',
     ])
     def test_bad_sidecar_is_named(self, tmp_path, sidecar):
         p = tmp_path / "game.csv"

@@ -99,41 +99,41 @@ def write_edited(src, dst, edit):
 class TestAdamW:
     def test_zero_grads_no_decay_keeps_params(self):
         params = init_params(TINY_MODEL, seed=1)
-        before = {k: p.tensor.values.copy()
+        before = {k: p.values.copy()
                   for k, p in params.named_parameters().items()}
         grads = {k: np.zeros_like(v) for k, v in before.items()}
         adamw_step(params, grads, AdamWState(params), t=1,
                    cfg=tiny_train_cfg(weight_decay=0.0))
         for k, p in params.named_parameters().items():
-            np.testing.assert_array_equal(p.tensor.values, before[k])
+            np.testing.assert_array_equal(p.values, before[k])
 
     def test_first_step_moves_by_lr(self):
         params = init_params(TINY_MODEL, seed=2)
         name = "unc_theta"
-        params.named_parameters()[name].tensor.values[...] = 1.0
-        grads = {k: np.zeros_like(p.tensor.values)
+        params.named_parameters()[name].values[...] = 1.0
+        grads = {k: np.zeros_like(p.values)
                  for k, p in params.named_parameters().items()}
         grads[name] = np.ones_like(grads[name])
         adamw_step(params, grads, AdamWState(params), t=1,
                    cfg=tiny_train_cfg(lr=0.1, weight_decay=0.0, adam_eps=1e-4))
-        moved = float(params.named_parameters()[name].tensor.values[0])
+        moved = float(params.named_parameters()[name].values[0])
         assert abs(moved - 0.9) < 1e-3
 
     def test_pure_decay_shrink(self):
         cfg = tiny_train_cfg(lr=0.1, weight_decay=0.5)
         params = init_params(TINY_MODEL, seed=3)
-        before = {k: p.tensor.values.copy()
+        before = {k: p.values.copy()
                   for k, p in params.named_parameters().items()}
         grads = {k: np.zeros_like(v) for k, v in before.items()}
         adamw_step(params, grads, AdamWState(params), t=1, cfg=cfg)
         for k, p in params.named_parameters().items():
-            np.testing.assert_allclose(p.tensor.values,
+            np.testing.assert_allclose(p.values,
                                        before[k] * (1 - 0.1 * 0.5),
                                        atol=1e-12)
 
     def test_nonfinite_grads_abort(self):
         params = init_params(TINY_MODEL, seed=4)
-        grads = {k: np.zeros_like(p.tensor.values)
+        grads = {k: np.zeros_like(p.values)
                  for k, p in params.named_parameters().items()}
         grads["unc_theta"] = np.array([np.nan])
         with pytest.raises(NumericsError):
@@ -223,9 +223,9 @@ class TestTrainLoop:
                                                 np.random.default_rng(0))
         params.zero_grad()
         _train_step(tiny_dataset[0], mask, cfg, params, 1)
-        cls_grad = params.named_parameters()["classifier_rffn.w1"].tensor.grad
+        cls_grad = params.named_parameters()["classifier_rffn.w1"].grad
         assert cls_grad is None or not cls_grad.any()
-        out_grad = params.named_parameters()["output_rffn.w1"].tensor.grad
+        out_grad = params.named_parameters()["output_rffn.w1"].grad
         assert out_grad is not None and out_grad.any()
 
     def test_loss_is_independent_of_field_units(self, tiny_dataset):
@@ -243,7 +243,7 @@ class TestTrainLoop:
             params = init_params(TINY_MODEL, seed=11)
             params.zero_grad()
             report = _train_step(s, mask, TINY_MODEL, params, 1)
-            grads = {k: p.tensor.grad
+            grads = {k: p.grad
                      for k, p in params.named_parameters().items()}
             runs.append((report, grads))
         (rep_a, grads_a), (rep_b, grads_b) = runs
@@ -278,7 +278,7 @@ class TestTrainLoop:
                 params = init_params(TINY_MODEL, seed=12)
                 params.zero_grad()
                 report = _train_step(s, mask, TINY_MODEL, params, 1)
-                grads = {k: p.tensor.grad
+                grads = {k: p.grad
                          for k, p in params.named_parameters().items()}
                 runs.append((report, grads))
             (rep_nan, grads_nan), (rep_fill, grads_fill) = runs
@@ -306,7 +306,7 @@ class TestTrainLoop:
         params = init_params(cfg, seed=4)
         assert params.unc_theta is None
         report = _train_step(seq, mask, cfg, params, 2)
-        got = {k: p.tensor.grad for k, p in params.named_parameters().items()}
+        got = {k: p.grad for k, p in params.named_parameters().items()}
 
         params.zero_grad()
         zeros = np.zeros_like(mask.entries)
@@ -321,7 +321,7 @@ class TestTrainLoop:
                                     out.state_scores, cfg.lambda_ce)
             backward(scale(loss, 0.5), tape)
         for k, p in params.named_parameters().items():
-            np.testing.assert_array_equal(got[k], p.tensor.grad, err_msg=k)
+            np.testing.assert_array_equal(got[k], p.grad, err_msg=k)
         assert (report.l_ade, report.l_ce, report.total) == \
             (want.l_ade, want.l_ce, want.total)
         hidden = mask.entries == 1
@@ -341,12 +341,27 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(tiny_dataset, TINY_MODEL, cfg)
 
+    def test_bad_decay_rejected(self):
+        for fields in ({"weight_decay": -1.0}, {"weight_decay": np.nan},
+                       {"lr_decay_factor": -2.0}, {"lr_decay_factor": 0.0},
+                       {"lr_decay_factor": 1.5}, {"lr": np.nan}):
+            with pytest.raises(ConfigError):
+                tiny_train_cfg(**fields).validate()
+        tiny_train_cfg(weight_decay=0.0, lr_decay_factor=1.0).validate()
+
+    def test_max_steps_below_one_runs_no_step(self, tiny_dataset, tmp_path):
+        for max_steps in (0, -3):
+            with pytest.raises(ConfigError, match="max_steps"):
+                train(tiny_dataset, TINY_MODEL, tiny_train_cfg(),
+                      out_dir=tmp_path, max_steps=max_steps)
+        assert not list(tmp_path.iterdir())
+
     def test_identical_seeds_identical_runs(self, tiny_dataset):
         a, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg())
         b, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg())
         for k, p in a.params.named_parameters().items():
             np.testing.assert_array_equal(
-                p.tensor.values, b.params.named_parameters()[k].tensor.values)
+                p.values, b.params.named_parameters()[k].values)
 
     def test_step_log_explains_clipping(self, tiny_dataset, tmp_path):
         _, logs = train(tiny_dataset, TINY_MODEL,
@@ -377,8 +392,8 @@ class TestCheckpoint:
         loaded = Checkpoint.load(path)
         assert loaded.epoch == ckpt.epoch and loaded.step == ckpt.step
         for k, p in ckpt.params.named_parameters().items():
-            restored = loaded.params.named_parameters()[k].tensor.values
-            np.testing.assert_array_equal(p.tensor.values, restored)
+            restored = loaded.params.named_parameters()[k].values
+            np.testing.assert_array_equal(p.values, restored)
             np.testing.assert_array_equal(ckpt.moments.m[k],
                                           loaded.moments.m[k])
 
@@ -392,8 +407,8 @@ class TestCheckpoint:
                            resume_from=resumed_ckpt)
         for k, p in full.params.named_parameters().items():
             np.testing.assert_array_equal(
-                p.tensor.values,
-                resumed.params.named_parameters()[k].tensor.values)
+                p.values,
+                resumed.params.named_parameters()[k].values)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_version_archive_is_rejected(self, version, saved_checkpoint,
@@ -552,7 +567,7 @@ class TestEvaluation:
         assert a_logs == b_logs and a.step == b.step == 4
         for name, p in a.params.named_parameters().items():
             q = b.params.named_parameters()[name]
-            assert p.tensor.values.tobytes() == q.tensor.values.tobytes()
+            assert p.values.tobytes() == q.values.tobytes()
             assert a.moments.m[name].tobytes() == b.moments.m[name].tobytes()
             assert a.moments.v[name].tobytes() == b.moments.v[name].tobytes()
 
@@ -726,10 +741,14 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"
         save_sequences(tiny_dataset, data)
-        code = self.run_cli("train", "--data", str(data), "--out-dir",
-                            str(tmp_path / "r"), "--d", "9", "--heads", "2",
-                            "--epochs", "1")
-        assert code == 4
+        small = ("--d", "8", "--heads", "2", "--sab-hidden", "8")
+        for bad in (("--d", "9", "--heads", "2"), small + ("--heads", "0"),
+                    small + ("--heads", "-4"),
+                    small + ("--weight-decay", "-1"),
+                    small + ("--max-steps", "0")):
+            code = self.run_cli("train", "--data", str(data), "--out-dir",
+                                str(tmp_path / "r"), "--epochs", "1", *bad)
+            assert code == 4, bad
 
 
 # Prints the thread count of the OpenBLAS that numpy loaded, or "none".

@@ -20,7 +20,7 @@ from settraj.masking import (
     slot_roles,
     validate_task,
 )
-from settraj.tensor import DiffTensor, Parameter, Tape, backward, mul
+from settraj.tensor import DiffTensor, Tape, backward, mul
 
 
 class TestForecastingMask:
@@ -261,15 +261,15 @@ class TestUncertaintyMask:
             np.testing.assert_array_equal(got[:, 0], np.array(expected, bool))
 
     def test_theta_gradient_flows(self):
-        theta = Parameter("theta", DiffTensor(np.float64(initial_theta())))
+        theta = DiffTensor(np.float64(initial_theta()))
         col = np.array([0, 1, 1, 0, 0])[:, None]
         unc = build_uncertainty_mask(ObservationMask(col), theta)
         with Tape() as tape:
             w = unc.weights_tensor()
             loss = mul(w, DiffTensor(np.ones_like(unc.entries))).sum()
             backward(loss, tape)
-        assert theta.tensor.grad is not None
-        assert abs(theta.tensor.grad).max() > 0
+        assert theta.grad is not None
+        assert abs(theta.grad).max() > 0
 
     def test_w1_bounds(self):
         # float64 sigmoid saturates to exactly 0/1 beyond |theta| ~ 36;

@@ -20,7 +20,7 @@ from settraj.model import (
     positional_encoding,
 )
 from settraj.objectives import ade_metric
-from settraj.tensor import xavier_normal_init
+from settraj.tensor import DiffTensor, xavier_normal_init
 
 TINY = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4,
                    input_channels=3)
@@ -279,6 +279,9 @@ class TestParameterCount:
             ModelConfig(input_channels=4).validate()
         with pytest.raises(ConfigError):
             ModelConfig(lambda_ce=-1.0).validate()
+        for heads in (0, -4):  # checked before the divisibility test
+            with pytest.raises(ConfigError, match="n_heads"):
+                ModelConfig(n_heads=heads).validate()
 
 
 class TestInitialization:
@@ -286,8 +289,8 @@ class TestInitialization:
         a = init_params(TINY, seed=21)
         b = init_params(TINY, seed=21)
         for name, p in a.named_parameters().items():
-            np.testing.assert_array_equal(p.tensor.values,
-                                          b.named_parameters()[name].tensor.values)
+            np.testing.assert_array_equal(p.values,
+                                          b.named_parameters()[name].values)
 
     def test_per_head_parameter_names(self):
         params = init_params(TINY, seed=22)
@@ -297,6 +300,11 @@ class TestInitialization:
         assert not any(n.startswith("encoder_c.sab_t1.mha.wq.") for n in names)
         assert "unc_theta" in names
         assert "cls_embedding" in names
+        # each name maps to the very tensor the typed tree holds
+        named = params.named_parameters()
+        assert all(type(p) is DiffTensor for p in named.values())
+        assert named["encoder_f.sab_s.mha.wv"] is params.encoder_f.sab_s.mha.wv
+        assert named["unc_theta"] is params.unc_theta
 
     def test_fused_weights_are_the_per_head_draws_concatenated(self):
         # replay the draw order of one [d x d/H] matrix per head and per
@@ -321,13 +329,13 @@ class TestInitialization:
         expected["classifier_rffn.w2"] = draw(d, S)
         named = init_params(TINY, seed=24).named_parameters()
         for name, values in expected.items():
-            np.testing.assert_array_equal(named[name].tensor.values, values,
+            np.testing.assert_array_equal(named[name].values, values,
                                           err_msg=name)
 
     def test_restore_from_arrays_is_bit_exact(self):
         params = init_params(TINY, seed=23)
-        arrays = {k: p.tensor.values.copy()
+        arrays = {k: p.values.copy()
                   for k, p in params.named_parameters().items()}
         rebuilt = init_params(TINY, seed=99, arrays=arrays)
         for name, p in rebuilt.named_parameters().items():
-            np.testing.assert_array_equal(p.tensor.values, arrays[name])
+            np.testing.assert_array_equal(p.values, arrays[name])

@@ -16,7 +16,7 @@ from settraj.objectives import (
     max_err_metric,
     total_loss,
 )
-from settraj.tensor import DiffTensor, Parameter, Tape, backward
+from settraj.tensor import DiffTensor, Tape, backward
 
 
 def theta_for(w1):
@@ -81,7 +81,7 @@ class TestAdeLoss:
         assert abs(loss - metric) < 1e-12
 
     def test_gradient_reaches_theta_and_predictions(self):
-        theta = Parameter("theta", DiffTensor(np.float64(0.5)))
+        theta = DiffTensor(np.float64(0.5))
         entries = np.array([[0], [1], [0], [0]])
         m_unc = build_uncertainty_mask(ObservationMask(entries), theta)
         # boundary-neighbor errors differ from the hidden-slot error, so the
@@ -91,7 +91,7 @@ class TestAdeLoss:
         with Tape() as tape:
             loss = ade_loss(pred, gt, m_unc)
             backward(loss, tape)
-        assert abs(theta.tensor.grad).max() > 0
+        assert abs(theta.grad).max() > 0
         assert abs(pred.grad).max() > 0
 
 
