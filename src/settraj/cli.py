@@ -139,13 +139,14 @@ def cmd_train(args) -> int:
         grad_clip_threshold=args.clip, clip_mode=args.clip_mode,
         seed=args.seed, task=_task_from_args(args),
     )
+    harness.validate_run(model_cfg, train_cfg, args.max_steps)
+    resume = harness.Checkpoint.load(args.resume) if args.resume else None
     out_dir = Path(args.out_dir)
     _write_config(out_dir, "run_config.json", {
         "command": "train", "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(), "data": str(args.data),
         "max_steps": args.max_steps,
     })
-    resume = harness.Checkpoint.load(args.resume) if args.resume else None
     ckpt, logs = harness.train(train_seqs, model_cfg, train_cfg,
                                val_seqs=val_seqs, out_dir=out_dir,
                                max_steps=args.max_steps, resume_from=resume)

@@ -71,6 +71,11 @@ def _codes(values, what: str, shape: tuple, names) -> np.ndarray:
     return codes
 
 
+def _check_frame_rate(rate) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise DataError(f"frame_rate_hz {rate} is not a positive rate")
+
+
 @dataclass
 class TrajectorySequence:
     """One multi-agent tracking sequence in field units.
@@ -104,6 +109,7 @@ class TrajectorySequence:
             raise DataError("positions must be finite where validity=1")
         if self.states is not None:
             self.states = _codes(self.states, "states", (self.T,), STATE_NAMES)
+        _check_frame_rate(self.frame_rate_hz)
 
     @property
     def T(self) -> int:
@@ -248,8 +254,7 @@ def load_sequences(path) -> list[TrajectorySequence]:
             meta = json.loads(meta_file.read_text(encoding="utf-8"))
             pitch = PitchSpec(**meta["pitch"])
             rate = float(meta["frame_rate_hz"])
-            if not (math.isfinite(rate) and rate > 0):
-                raise ValueError(f"frame_rate_hz {rate} is not a positive rate")
+            _check_frame_rate(rate)
         except (ValueError, KeyError, TypeError) as e:
             raise DataError(f"{meta_file}: bad metadata sidecar: {e!r}") from e
     else:

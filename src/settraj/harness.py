@@ -403,6 +403,15 @@ class StepLog:
                 f"{self.grad_norm:.8f},{self.clip_factor:.8f}")
 
 
+def validate_run(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                 max_steps: Optional[int] = None) -> None:
+    """Raise ``ConfigError`` for settings ``train`` refuses before any step."""
+    model_cfg.validate()
+    train_cfg.validate()
+    if max_steps is not None and max_steps < 1:
+        raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
+
+
 def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
           train_cfg: TrainConfig,
           val_seqs: Sequence[TrajectorySequence] = (),
@@ -420,10 +429,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     a diagnostic. A run resumed from a checkpoint skips the batches of the
     epoch that the checkpoint has done.
     """
-    model_cfg.validate()
-    train_cfg.validate()
-    if max_steps is not None and max_steps < 1:
-        raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
+    validate_run(model_cfg, train_cfg, max_steps)
     if not train_seqs:
         raise DataError("training needs at least one sequence")
     needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0

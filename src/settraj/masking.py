@@ -219,13 +219,13 @@ class UncertaintyMask:
 
     def weights_tensor(self) -> DiffTensor:
         """The weights as a graph expression so gradients reach theta."""
-        base = DiffTensor(self.hidden.astype(np.float64))
+        base = self.hidden.astype(np.float64)
         if self.theta is None:
-            return base
+            return DiffTensor(base)
         w1 = sigmoid(self.theta)
-        w2 = add(scale(w1, -1.0), DiffTensor(np.float64(1.0)))
-        out = add(base, mul(w1, DiffTensor(self.first.astype(np.float64))))
-        return add(out, mul(w2, DiffTensor(self.second.astype(np.float64))))
+        w2 = add(scale(w1, -1.0), np.float64(1.0))
+        out = add(base, mul(w1, self.first.astype(np.float64)))
+        return add(out, mul(w2, self.second.astype(np.float64)))
 
 
 def initial_theta() -> float:

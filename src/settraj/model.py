@@ -247,7 +247,7 @@ def embed_inputs(x_filled: np.ndarray, cfg: ModelConfig,
     if cfg.input_channels == 3 and not (
             x[..., 2:] == np.array([0, 1, 2])).any(axis=-1).all():
         raise DataError("agent type channel must contain only {0, 1, 2}")
-    return rffn_apply(DiffTensor(x), params.input_rffn)
+    return rffn_apply(x, params.input_rffn)
 
 
 def append_cls(j0: DiffTensor, params: ModelParams) -> DiffTensor:
@@ -255,8 +255,8 @@ def append_cls(j0: DiffTensor, params: ModelParams) -> DiffTensor:
     last agent."""
     T = j0.shape[0]
     d = j0.shape[2]
-    ones = DiffTensor(np.ones((T, 1, 1)))
-    cls_block = mul(ones, reshape(params.cls_embedding, (1, 1, d)))
+    cls_block = mul(np.ones((T, 1, 1)),
+                    reshape(params.cls_embedding, (1, 1, d)))
     return concat_axis([j0, cls_block], axis=1)
 
 
@@ -267,7 +267,7 @@ def _encoder(x: DiffTensor, temporal_key_mask: Optional[np.ndarray],
     positional encoding added first. Masks are key-exclusion masks shaped for
     broadcast: [A x 1 x T] temporal, [T x 1 x A] social."""
     T, A, d = x.shape
-    x = add(x, DiffTensor(positional_encoding(T, d)[:, None, :]))
+    x = add(x, positional_encoding(T, d)[:, None, :])
     xt = transpose(x, (1, 0, 2))  # [A x T x d]
     xt, _ = set_attention_block(xt, temporal_key_mask, enc.sab_t1)
     xt, _ = set_attention_block(xt, temporal_key_mask, enc.sab_t2)

@@ -76,7 +76,7 @@ def ade_loss(x_hat, x, m_unc: UncertaintyMask) -> DiffTensor:
         if (weights.values[absent.any(axis=-1)] != 0.0).any():
             raise DataError("a non-finite target slot carries loss weight")
         target = np.where(absent, 0.0, target)
-    dist = euclidean_norm(add(x_hat, DiffTensor(-target)))
+    dist = euclidean_norm(add(x_hat, -target))
     num = mul(dist, weights).sum()
     den = weights.sum()
     return div(num, den)
@@ -99,7 +99,7 @@ def ce_loss(s, s_hat) -> DiffTensor:
     if (s_hat.values < 0).any():
         raise DataError("predicted state rows must be nonnegative")
     T = truth.shape[0]
-    picked = mul(DiffTensor(truth), log_clamped(s_hat))
+    picked = mul(truth, log_clamped(s_hat))
     return scale(picked.sum(), -1.0 / T)
 
 

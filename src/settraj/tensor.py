@@ -9,6 +9,8 @@ trouble surfaces at the op that caused it instead of propagating silently.
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +29,32 @@ __all__ = [
 ]
 
 _TAPE_STACK: list["Tape"] = []
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Keep the memory a training step frees mapped for the next step.
+
+    A desk training sequence builds about 13 MB of tape and backward frees
+    it. glibc's defaults unmap each block above a dynamic mmap threshold
+    (128 KiB, rising to at most 32 MiB) on free and trim the heap's free top
+    above twice that, so the next forward faults the pages back in. Raise both:
+    M_MMAP_THRESHOLD to 32 MiB, glibc's 64-bit maximum (a full-size
+    attention matrix is 3.84 MB), then M_TRIM_THRESHOLD to 64 MiB. The trim
+    threshold alone would freeze the mmap threshold at 128 KiB and fault
+    more. Arithmetic and peak RSS do not change.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD (<malloc.h>); 0: refused
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 
 def active_tape() -> Optional["Tape"]:
@@ -177,6 +205,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> DiffTensor:
+    """``a + b``, broadcasting. An operand passed as an array (not a
+    ``DiffTensor``) is a constant: backward gives it no gradient."""
+    live_a, live_b = isinstance(a, DiffTensor), isinstance(b, DiffTensor)
     a, b = as_tensor(a), as_tensor(b)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -185,13 +216,17 @@ def add(a, b) -> DiffTensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
 
     def rule(g):
-        _accum(a, _unbroadcast(g, a.values.shape))
-        _accum(b, _unbroadcast(g, b.values.shape))
+        if live_a:
+            _accum(a, _unbroadcast(g, a.values.shape))
+        if live_b:
+            _accum(b, _unbroadcast(g, b.values.shape))
 
     return _emit(out, (a, b), rule, "add")
 
 
 def mul(a, b) -> DiffTensor:
+    """``a * b``, broadcasting; an array operand is a constant, as in add."""
+    live_a, live_b = isinstance(a, DiffTensor), isinstance(b, DiffTensor)
     a, b = as_tensor(a), as_tensor(b)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,8 +235,10 @@ def mul(a, b) -> DiffTensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from e
 
     def rule(g):
-        _accum(a, _unbroadcast(g * b.values, a.values.shape))
-        _accum(b, _unbroadcast(g * a.values, b.values.shape))
+        if live_a:
+            _accum(a, _unbroadcast(g * b.values, a.values.shape))
+        if live_b:
+            _accum(b, _unbroadcast(g * a.values, b.values.shape))
 
     return _emit(out, (a, b), rule, "mul")
 
@@ -428,7 +465,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, *, residual=None) -> DiffTensor
 
 def affine(x, w, b) -> DiffTensor:
     """x @ w + b applied to every row of the leading axes. Every operand is a
-    tensor or an array (taken as a constant)."""
+    tensor or an array (taken as a constant); an array ``x`` gets no
+    gradient."""
+    live_x = isinstance(x, DiffTensor)
     x, wt, bt = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.shape[-1] != wt.values.shape[0]:
         raise ShapeError(f"affine: input dim {x.shape} vs weight {wt.shape}")
@@ -442,7 +481,8 @@ def affine(x, w, b) -> DiffTensor:
         x_flat = x.values.reshape(-1, x.values.shape[-1])
         _accum(wt, x_flat.T @ lead_flat)
         _accum(bt, np.ones(lead_flat.shape[0]) @ lead_flat)
-        _accum(x, g @ wt.values.T)
+        if live_x:
+            _accum(x, g @ wt.values.T)
 
     return _emit(out, (x, wt, bt), rule, "affine")
 

@@ -845,6 +845,13 @@ class TestSequenceValidation:
             TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
                                agent_types=[0, 1], states=states)
 
+    @pytest.mark.parametrize("rate", [-6.25, 0, np.nan, np.inf])
+    def test_bad_frame_rate_rejected(self, rate):
+        with pytest.raises(DataError, match="is not a positive rate"):
+            TrajectorySequence(seq_id=0, positions=np.zeros((3, 2, 2)),
+                               agent_types=[0, 1], states=None,
+                               frame_rate_hz=rate)
+
     def test_whole_float_and_bool_inputs_accepted(self):
         seq = TrajectorySequence(
             seq_id=0, positions=np.zeros((3, 2, 2)),

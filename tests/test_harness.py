@@ -715,6 +715,7 @@ class TestCli:
                             str(tmp_path / "r"), "--resume", str(ckpt),
                             "--d", "8", "--heads", "2", "--sab-hidden", "16",
                             "--epochs", "2") == 3
+        assert not (tmp_path / "r" / "run_config.json").exists()
         err = capsys.readouterr().err
         assert "error[data]" in err and str(ckpt) in err
         # a missing or misshapen parameter stays a config/shape error
@@ -742,13 +743,15 @@ class TestCli:
         data = tmp_path / "g.csv"
         save_sequences(tiny_dataset, data)
         small = ("--d", "8", "--heads", "2", "--sab-hidden", "8")
+        out = tmp_path / "r"
         for bad in (("--d", "9", "--heads", "2"), small + ("--heads", "0"),
                     small + ("--heads", "-4"),
                     small + ("--weight-decay", "-1"),
                     small + ("--max-steps", "0")):
             code = self.run_cli("train", "--data", str(data), "--out-dir",
-                                str(tmp_path / "r"), "--epochs", "1", *bad)
+                                str(out), "--epochs", "1", *bad)
             assert code == 4, bad
+            assert not (out / "run_config.json").exists(), bad
 
 
 # Prints the thread count of the OpenBLAS that numpy loaded, or "none".
