@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
         grad_clip_threshold=args.clip, clip_mode=args.clip_mode,
         seed=args.seed, task=_task_from_args(args),
     )
-    harness.validate_run(model_cfg, train_cfg, args.max_steps)
+    harness.validate_run(train_seqs, model_cfg, train_cfg, args.max_steps)
     resume = harness.Checkpoint.load(args.resume) if args.resume else None
     out_dir = Path(args.out_dir)
     _write_config(out_dir, "run_config.json", {
@@ -204,7 +204,7 @@ def cmd_export_attention(args) -> int:
     seq = seqs[args.sequence]
     ckpt = harness.Checkpoint.load(args.checkpoint)
     task = _task_from_args(args)
-    m = task.build_mask(seq, harness._mask_rng(args.seed, args.sequence))
+    m = harness.sequence_mask(seq, task, args.seed, args.sequence)
     out_dir = Path(args.out_dir)
     harness.export_attention(ckpt.params, ckpt.model_cfg, seq, m,
                              args.query_agent, out_dir)

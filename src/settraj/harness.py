@@ -44,11 +44,9 @@ from .objectives import (
     LossReport,
     MetricReport,
     accuracy_metric,
-    ade_metric,
     confusion_matrix,
-    fde_metric,
-    max_err_metric,
     total_loss,
+    trajectory_metrics,
 )
 from .tensor import Tape, backward, scale
 
@@ -104,7 +102,7 @@ class TaskSpec:
         return agents
 
     def build_mask(self, seq: TrajectorySequence,
-                   rng: np.random.Generator) -> ObservationMask:
+                   rng: Optional[np.random.Generator]) -> ObservationMask:
         self.validate()
         T, N = seq.T, seq.N
         if self.kind in ("forecasting", "imputation"):
@@ -125,14 +123,11 @@ class TaskSpec:
                 entries |= build_percentage_mask(T, N, a, self.fraction,
                                                  rng).entries
             return ObservationMask(entries)
-        if self.kind == "circle":
-            ball = seq.ball_index
-            if ball is None:
-                raise DataError("circle mode needs a ball agent")
-            return build_circle_mask(seq.positions, ball, self.radius)
         ball = seq.ball_index
         if ball is None:
-            raise DataError("camera mode needs a ball agent")
+            raise DataError(f"{self.kind} mode needs a ball agent")
+        if self.kind == "circle":
+            return build_circle_mask(seq.positions, ball, self.radius)
         return build_camera_mask(seq.positions, ball, self.half_angle_deg,
                                  seq.pitch.center)
 
@@ -368,15 +363,18 @@ def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
     return out, pred_field, trajectories
 
 
-def _mask_rng(seed: int, index: int) -> np.random.Generator:
-    """The random stream of sequence ``index``'s task mask."""
-    return np.random.default_rng([seed, 0, 2, index])
+def sequence_mask(seq: TrajectorySequence, task: TaskSpec, seed: int,
+                  index: int) -> ObservationMask:
+    """The task mask of sequence ``index`` of a set. Only the percentage
+    kind draws, from a random stream of its own made for it alone."""
+    rng = (np.random.default_rng([seed, 0, 2, index])
+           if task.kind == "percentage" else None)
+    return task.build_mask(seq, rng)
 
 
 def build_masks(seqs: Sequence[TrajectorySequence], task: TaskSpec,
                 seed: int) -> list[ObservationMask]:
-    return [task.build_mask(s, _mask_rng(seed, i))
-            for i, s in enumerate(seqs)]
+    return [sequence_mask(s, task, seed, i) for i, s in enumerate(seqs)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +401,19 @@ class StepLog:
                 f"{self.grad_norm:.8f},{self.clip_factor:.8f}")
 
 
-def validate_run(model_cfg: ModelConfig, train_cfg: TrainConfig,
+def validate_run(train_seqs: Sequence[TrajectorySequence],
+                 model_cfg: ModelConfig, train_cfg: TrainConfig,
                  max_steps: Optional[int] = None) -> None:
-    """Raise ``ConfigError`` for settings ``train`` refuses before any step."""
+    """Raise for the settings and data ``train`` refuses before any mask."""
     model_cfg.validate()
     train_cfg.validate()
     if max_steps is not None and max_steps < 1:
         raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
+    if not train_seqs:
+        raise DataError("training needs at least one sequence")
+    needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0
+    if needs_labels and any(s.states is None for s in train_seqs):
+        raise DataError("state classification needs labeled sequences")
 
 
 def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
@@ -429,12 +433,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     a diagnostic. A run resumed from a checkpoint skips the batches of the
     epoch that the checkpoint has done.
     """
-    validate_run(model_cfg, train_cfg, max_steps)
-    if not train_seqs:
-        raise DataError("training needs at least one sequence")
-    needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0
-    if needs_labels and any(s.states is None for s in train_seqs):
-        raise DataError("state classification needs labeled sequences")
+    validate_run(train_seqs, model_cfg, train_cfg, max_steps)
 
     if resume_from is not None:
         params, moments = resume_from.params, resume_from.moments
@@ -586,37 +585,31 @@ def _score(seqs, task, seed, predict):
     if not seqs:
         raise DataError("evaluation needs at least one sequence")
     masks = build_masks(seqs, task, seed)
-    ades, fdes, maxes, accs = [], [], [], []
-    d_total = 0
+    rows, accs = [], []  # trajectory_metrics of each scored sequence
     cm = None
     all_forecasting = all(validate_task(m) == "forecasting" for m in masks)
     for seq, m in zip(seqs, masks):
         nan = seq.nan_mask()
         traj, scores = predict(seq, m, nan)
         try:
-            ades.append(ade_metric(traj, seq.positions, m, nan))
+            rows.append(trajectory_metrics(traj, seq.positions, m, nan))
         except EmptyMaskError:
             continue
-        mx, d = max_err_metric(traj, seq.positions, m, nan)
-        maxes.append(mx)
-        d_total += d
-        if all_forecasting:
-            fdes.append(fde_metric(traj, seq.positions, m, nan))
         if scores is not None:
             truth = seq.one_hot_states(scores.shape[-1])
             accs.append(accuracy_metric(truth, scores))
             step_cm = confusion_matrix(truth, scores, scores.shape[-1])
             cm = step_cm if cm is None else cm + step_cm
-    if not ades:
+    if not rows:
         raise EmptyMaskError("no sequence has a target slot to evaluate")
-    report = MetricReport(
+    ades, maxes, ds, fdes = zip(*rows)
+    return MetricReport(
         ade=float(np.mean(ades)),
-        fde=float(np.mean(fdes)) if fdes else None,
+        fde=float(np.mean(fdes)) if all_forecasting else None,
         max_err=float(np.mean(maxes)),
         acc=float(np.mean(accs)) if accs else None,
-        d_count=d_total,
-    )
-    return report, cm
+        d_count=sum(ds),
+    ), cm
 
 
 def write_metric_report(report: MetricReport, task: TaskSpec, seed: int,

@@ -217,11 +217,12 @@ class UncertaintyMask:
         return (self.hidden + self.w1 * self.first
                 + self.w2 * self.second).astype(np.float64)
 
-    def weights_tensor(self) -> DiffTensor:
-        """The weights as a graph expression so gradients reach theta."""
+    def weights_tensor(self) -> Union[DiffTensor, np.ndarray]:
+        """The weights as a graph expression so gradients reach theta; with
+        no theta, the binary weights as a constant array."""
         base = self.hidden.astype(np.float64)
         if self.theta is None:
-            return DiffTensor(base)
+            return base
         w1 = sigmoid(self.theta)
         w2 = add(scale(w1, -1.0), np.float64(1.0))
         out = add(base, mul(w1, self.first.astype(np.float64)))

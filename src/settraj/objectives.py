@@ -68,18 +68,17 @@ def ade_loss(x_hat, x, m_unc: UncertaintyMask) -> DiffTensor:
     target = np.asarray(x, dtype=np.float64)
     if x_hat.shape != target.shape:
         raise DataError(f"prediction shape {x_hat.shape} != target {target.shape}")
-    weights = m_unc.weights_tensor()
-    if float(weights.values.sum()) <= 0.0:
+    weights = m_unc.weights_tensor()  # an array without theta: a constant
+    w = weights.values if isinstance(weights, DiffTensor) else weights
+    if float(w.sum()) <= 0.0:
         raise EmptyMaskError("uncertainty mask has no support")
     absent = ~np.isfinite(target)
     if absent.any():
-        if (weights.values[absent.any(axis=-1)] != 0.0).any():
+        if (w[absent.any(axis=-1)] != 0.0).any():
             raise DataError("a non-finite target slot carries loss weight")
         target = np.where(absent, 0.0, target)
     dist = euclidean_norm(add(x_hat, -target))
-    num = mul(dist, weights).sum()
-    den = weights.sum()
-    return div(num, den)
+    return div(mul(dist, weights).sum(), weights.sum())
 
 
 def ce_loss(s, s_hat) -> DiffTensor:
@@ -113,15 +112,11 @@ def total_loss(x_hat, x, m_unc: UncertaintyMask, s, s_hat,
     if lam < 0:
         raise ConfigError("loss weight must be nonnegative")
     l_ade = ade_loss(x_hat, x, m_unc)
-    if lam == 0:
-        report = LossReport(l_ade=l_ade.item(), l_ce=0.0,
-                            total=l_ade.item(), w1_value=m_unc.w1)
-        return l_ade, report
-    l_ce = ce_loss(s, s_hat)
-    total = add(l_ade, scale(l_ce, lam))
-    report = LossReport(l_ade=l_ade.item(), l_ce=l_ce.item(),
-                        total=total.item(), w1_value=m_unc.w1)
-    return total, report
+    l_ce = ce_loss(s, s_hat) if lam else None
+    total = add(l_ade, scale(l_ce, lam)) if lam else l_ade
+    return total, LossReport(l_ade=l_ade.item(),
+                             l_ce=l_ce.item() if lam else 0.0,
+                             total=total.item(), w1_value=m_unc.w1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,40 +131,56 @@ def _distances(x_hat, x) -> np.ndarray:
     return np.linalg.norm(a - b, axis=-1)
 
 
+def trajectory_metrics(x_hat, x, m: ObservationMask,
+                       nan_mask: Optional[np.ndarray] = None
+                       ) -> tuple[float, float, int, float]:
+    """``(ADE, MaxErr, D, FDE)`` from one role mask and one distance array:
+    the mean error over the target slots; each agent's maximum, averaged
+    over the D agents with a target; and the mean error at their last
+    target timestep (for forecasting, the final displacement)."""
+    sel = slot_roles(m, nan_mask)[2]
+    agents = sel.any(axis=0)
+    if not agents.any():
+        raise EmptyMaskError("no hidden slots to evaluate")
+    dist = _distances(x_hat, x)
+    maxima = np.where(sel, dist, -np.inf).max(axis=0)[agents]
+    last = sel.shape[0] - 1 - sel[::-1].argmax(axis=0)
+    finals = dist[last, np.arange(sel.shape[1])][agents]
+    return _mean(dist[sel]), _mean(maxima), maxima.size, _mean(finals)
+
+
+def _mean(a: np.ndarray) -> float:
+    """``float(np.mean(a))`` of a float64 vector, bit for bit (the same
+    pairwise sum, then one division), without np.mean's per-call cost."""
+    return float(a.sum() / a.size)
+
+
+def _per_agent(x_hat, x, m, nan_mask, empty: str):
+    """:func:`trajectory_metrics`, but a shape mismatch raises first."""
+    try:
+        return trajectory_metrics(x_hat, x, m, nan_mask)
+    except EmptyMaskError:
+        _distances(x_hat, x)
+        raise EmptyMaskError(empty) from None
+
+
 def ade_metric(x_hat, x, m: ObservationMask,
                nan_mask: Optional[np.ndarray] = None) -> float:
     """Mean Euclidean error over the target slots."""
-    sel = slot_roles(m, nan_mask)[2]
-    if not sel.any():
-        raise EmptyMaskError("no hidden slots to evaluate")
-    return float(_distances(x_hat, x)[sel].mean())
+    return trajectory_metrics(x_hat, x, m, nan_mask)[0]
 
 
 def fde_metric(x_hat, x, m: ObservationMask,
                nan_mask: Optional[np.ndarray] = None) -> float:
-    """Mean error at each evaluated agent's last hidden timestep. Agents with
-    no hidden slot are excluded; for a forecasting mask this is the classic
-    final-displacement error."""
-    sel = slot_roles(m, nan_mask)[2]
-    dist = _distances(x_hat, x)
-    agents = np.flatnonzero(sel.any(axis=0))
-    if not agents.size:
-        raise EmptyMaskError("no agent has a hidden slot")
-    last = sel.shape[0] - 1 - sel[::-1, agents].argmax(axis=0)
-    return float(np.mean(dist[last, agents]))
+    """The FDE of :func:`trajectory_metrics`."""
+    return _per_agent(x_hat, x, m, nan_mask, "no agent has a hidden slot")[3]
 
 
 def max_err_metric(x_hat, x, m: ObservationMask,
                    nan_mask: Optional[np.ndarray] = None) -> tuple[float, int]:
-    """Per-agent maximum masked error averaged over the D agents that have at
-    least one hidden slot. Returns ``(value, D)``."""
-    sel = slot_roles(m, nan_mask)[2]
-    dist = _distances(x_hat, x)
-    agents = sel.any(axis=0)
-    if not agents.any():
-        raise EmptyMaskError("D = 0: no agent has a hidden slot")
-    maxima = np.where(sel, dist, -np.inf).max(axis=0)[agents]
-    return float(np.mean(maxima)), maxima.size
+    """``(MaxErr, D)`` of :func:`trajectory_metrics`."""
+    return _per_agent(x_hat, x, m, nan_mask,
+                      "D = 0: no agent has a hidden slot")[1:3]
 
 
 def accuracy_metric(s, s_hat) -> float:

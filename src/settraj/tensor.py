@@ -244,13 +244,18 @@ def mul(a, b) -> DiffTensor:
 
 
 def div(a, b) -> DiffTensor:
+    """``a / b``, broadcasting; an array operand is a constant, as in add."""
+    live_a, live_b = isinstance(a, DiffTensor), isinstance(b, DiffTensor)
     a, b = as_tensor(a), as_tensor(b)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = a.values / b.values
 
     def rule(g):
-        _accum(a, _unbroadcast(g / b.values, a.values.shape))
-        _accum(b, _unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
+        if live_a:
+            _accum(a, _unbroadcast(g / b.values, a.values.shape))
+        if live_b:
+            _accum(b, _unbroadcast(-g * a.values / (b.values * b.values),
+                                   b.values.shape))
 
     return _emit(out, (a, b), rule, "div")
 

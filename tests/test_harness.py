@@ -580,6 +580,42 @@ class TestEvaluation:
             evaluate_velocity_baseline(none_left, task)
 
 
+class TestBuildMasks:
+    KINDS = ("forecasting", "imputation", "inference", "percentage",
+             "circle", "camera")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_masks_and_streams_are_the_per_sequence_ones(self, kind,
+                                                         tiny_dataset,
+                                                         monkeypatch):
+        # each sequence's mask is what its own stream [seed, 0, 2, index]
+        # gave it, and only the percentage kind, which draws, has a stream
+        # made for it
+        task = TaskSpec(kind=kind, predicted="players", t_hat=4,
+                        radius=8.0, half_angle_deg=30.0)
+        stream = np.random.default_rng
+        made = []
+
+        def counting(seed):
+            made.append(tuple(seed))
+            return stream(seed)
+
+        for seed in (0, 1, 2):
+            want = [task.build_mask(s, stream([seed, 0, 2, i]))
+                    for i, s in enumerate(tiny_dataset)]
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", counting)
+                got = build_masks(tiny_dataset, task, seed)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.entries.dtype == w.entries.dtype
+                assert g.entries.shape == w.entries.shape
+                assert g.entries.tobytes() == w.entries.tobytes()
+        n = len(tiny_dataset)
+        assert made == ([(seed, 0, 2, i) for seed in (0, 1, 2)
+                         for i in range(n)] if kind == "percentage" else [])
+
+
 class TestAttentionExport:
     def test_rows_sum_to_one(self, tiny_dataset, tmp_path):
         params = init_params(TINY_MODEL, seed=11)
@@ -752,6 +788,24 @@ class TestCli:
                                 str(out), "--epochs", "1", *bad)
             assert code == 4, bad
             assert not (out / "run_config.json").exists(), bad
+
+    @pytest.mark.parametrize("mode,split,message", [
+        ("constant", (), "needs labeled sequences"),
+        ("possession", ("--train-ratio", "0", "--val-ratio", "0.5"),
+         "needs at least one sequence")], ids=["unlabeled", "empty_split"])
+    def test_data_refusal_writes_no_config(self, tmp_path, capsys, mode,
+                                           split, message):
+        data = tmp_path / "g.csv"
+        assert self.run_cli("generate-data", "--out", str(data), "--mode",
+                            mode, "--n-sequences", "4", "--frames", "10",
+                            "--per-team", "2") == 0
+        out = tmp_path / "r"
+        code = self.run_cli("train", "--data", str(data), "--out-dir",
+                            str(out), "--epochs", "1", "--d", "8", "--heads",
+                            "2", "--sab-hidden", "8", *split)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "run_config.json").exists()
 
 
 # Prints the thread count of the OpenBLAS that numpy loaded, or "none".

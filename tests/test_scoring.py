@@ -5,6 +5,11 @@
 used ``np.isin``. Those versions live on here as references: on every
 generated mask the library must give byte-identical arrays, equal floats,
 equal agent counts and labels, or the same error with the same message.
+
+The metric loop once graded each sequence with three calls, each of which
+took the slot roles and the distances again, and gave every sequence a
+random stream whether its task mask drew from it or not. That loop lives on
+here too, as the reference for ``harness._score``.
 """
 
 import numpy as np
@@ -13,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from settraj.attention import masked_attention
-from settraj.data import velocity_baseline
+from settraj import harness
+from settraj.data import (BALL, TrajectorySequence,
+                          generate_possession_game, velocity_baseline)
 from settraj.errors import DataError, EmptyMaskError, TaskViolationError
 from settraj.harness import TaskSpec
 from settraj.masking import (
@@ -24,7 +31,15 @@ from settraj.masking import (
     validate_task,
 )
 from settraj.model import ModelConfig, embed_inputs, init_params
-from settraj.objectives import _distances, fde_metric, max_err_metric
+from settraj.objectives import (
+    MetricReport,
+    _distances,
+    accuracy_metric,
+    ade_metric,
+    confusion_matrix,
+    fde_metric,
+    max_err_metric,
+)
 from settraj.tensor import DiffTensor
 
 # ---------------------------------------------------------------------------
@@ -55,6 +70,13 @@ def reference_velocity_baseline(x_partial, m, nan_mask=None):
                 later = np.flatnonzero(visible[:, n])
                 x_hat[run, n] = x[later[0], n] if later.size else 0.0
     return x_hat
+
+
+def reference_ade_metric(x_hat, x, m, nan_mask=None):
+    sel = slot_roles(m, nan_mask)[2]
+    if not sel.any():
+        raise EmptyMaskError("no hidden slots to evaluate")
+    return float(_distances(x_hat, x)[sel].mean())
 
 
 def reference_fde_metric(x_hat, x, m, nan_mask=None):
@@ -96,6 +118,44 @@ def reference_validate_task(m):
             (e[t_hat:, n] == 1).all() for n in predicted):
         return "forecasting"
     return "imputation"
+
+
+def reference_score(seqs, task, seed, predict):
+    if not seqs:
+        raise DataError("evaluation needs at least one sequence")
+    masks = [task.build_mask(s, np.random.default_rng([seed, 0, 2, i]))
+             for i, s in enumerate(seqs)]
+    ades, fdes, maxes, accs = [], [], [], []
+    d_total = 0
+    cm = None
+    all_forecasting = all(validate_task(m) == "forecasting" for m in masks)
+    for seq, m in zip(seqs, masks):
+        nan = seq.nan_mask()
+        traj, scores = predict(seq, m, nan)
+        try:
+            ades.append(reference_ade_metric(traj, seq.positions, m, nan))
+        except EmptyMaskError:
+            continue
+        mx, d = reference_max_err_metric(traj, seq.positions, m, nan)
+        maxes.append(mx)
+        d_total += d
+        if all_forecasting:
+            fdes.append(reference_fde_metric(traj, seq.positions, m, nan))
+        if scores is not None:
+            truth = seq.one_hot_states(scores.shape[-1])
+            accs.append(accuracy_metric(truth, scores))
+            step_cm = confusion_matrix(truth, scores, scores.shape[-1])
+            cm = step_cm if cm is None else cm + step_cm
+    if not ades:
+        raise EmptyMaskError("no sequence has a target slot to evaluate")
+    report = MetricReport(
+        ade=float(np.mean(ades)),
+        fde=float(np.mean(fdes)) if fdes else None,
+        max_err=float(np.mean(maxes)),
+        acc=float(np.mean(accs)) if accs else None,
+        d_count=d_total,
+    )
+    return report, cm
 
 
 def outcome(fn, *args):
@@ -195,11 +255,20 @@ class TestMetricsMatchReference:
     def test_same_floats_counts_and_errors(self, case):
         prediction, positions, m, nan = case
         baseline = velocity_baseline(positions, m, nan)
-        for pred in (prediction, baseline):
-            for fn, ref in ((fde_metric, reference_fde_metric),
+        for pred, nan_mask in ((prediction, nan), (baseline, nan),
+                               (prediction, None)):
+            for fn, ref in ((ade_metric, reference_ade_metric),
+                            (fde_metric, reference_fde_metric),
                             (max_err_metric, reference_max_err_metric)):
-                assert_same_outcome(outcome(fn, pred, positions, m, nan),
-                                    outcome(ref, pred, positions, m, nan))
+                args = (pred, positions, m, nan_mask)
+                assert_same_outcome(outcome(fn, *args), outcome(ref, *args))
+
+    def test_ade_reports_an_empty_mask_before_a_shape_error(self):
+        m = ObservationMask(np.zeros((3, 2), dtype=int))
+        args = (np.zeros((3, 2, 2)), np.zeros((3, 1, 2)), m)
+        got = outcome(ade_metric, *args)
+        assert isinstance(got, EmptyMaskError)
+        assert_same_outcome(got, outcome(reference_ade_metric, *args))
 
     def test_shape_error_comes_before_empty_mask(self):
         m = ObservationMask(np.zeros((3, 2), dtype=int))
@@ -209,6 +278,118 @@ class TestMetricsMatchReference:
             got = outcome(fn, *args)
             assert isinstance(got, DataError)
             assert_same_outcome(got, outcome(ref, *args))
+
+
+# ---------------------------------------------------------------------------
+# the metric loop: generated sequence sets, gaps and tasks of every kind
+# ---------------------------------------------------------------------------
+
+KINDS = ("forecasting", "imputation", "inference", "percentage", "circle",
+         "camera")
+
+
+@st.composite
+def task_specs(draw, T, N):
+    agents = st.lists(st.integers(0, N - 1), min_size=1, max_size=N,
+                      unique=True).map(tuple)
+    return TaskSpec(
+        kind=draw(st.sampled_from(KINDS)),
+        predicted=draw(st.one_of(st.sampled_from(["players", "offense",
+                                                  "ball", "all"]), agents)),
+        t_hat=draw(st.one_of(st.none(), st.integers(1, T - 1))),
+        hidden_agents=draw(st.one_of(st.sampled_from(["ball", "defense"]),
+                                     agents)),
+        fraction=draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])),
+        radius=draw(st.sampled_from([0.5, 5.0, 20.0])),
+        half_angle_deg=draw(st.sampled_from([5.0, 20.0, 60.0])))
+
+
+@st.composite
+def scored_sets(draw):
+    """(sequences, task, seed, predict) for ``_score``: possession games
+    with absent stretches, whole absent agents and, now and then, a
+    sequence whose every slot but the ball's is absent, so it has agents
+    and sequences without a target."""
+    T = draw(st.integers(8, 12))
+    per_team = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    seqs = generate_possession_game(n, T, per_team,
+                                    rng_seed=draw(st.integers(0, 999)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gapped = []
+    for seq in seqs:
+        valid = seq.validity.copy()
+        style = draw(st.sampled_from(["none", "stretches", "agent",
+                                      "all but ball"]))
+        players = np.flatnonzero(seq.agent_types != BALL)
+        if style == "stretches":
+            for _ in range(3):
+                a, start = rng.choice(players), rng.integers(0, T)
+                valid[start:start + rng.integers(1, T + 1), a] = 0
+        elif style == "agent":
+            valid[:, rng.choice(players)] = 0
+        elif style == "all but ball":
+            valid[:, players] = 0
+        pos = np.where(valid[..., None] == 1, seq.positions, np.nan)
+        gapped.append(TrajectorySequence(
+            seq_id=seq.seq_id, positions=pos, agent_types=seq.agent_types,
+            states=seq.states if draw(st.booleans()) else None,
+            validity=valid, frame_rate_hz=seq.frame_rate_hz, pitch=seq.pitch))
+    task = draw(task_specs(T, 2 * per_team + 1))
+    noise = {seq.seq_id: (rng.normal(size=seq.positions.shape) * 10.0,
+                          rng.random((T, 4)))
+             for seq in gapped}
+    model_like = draw(st.booleans())
+
+    def predict(seq, m, nan):
+        if not model_like:
+            return velocity_baseline(seq.positions, m, nan), None
+        traj, scores = noise[seq.seq_id]
+        visible = slot_roles(m, nan)[1]
+        traj = np.where(visible[..., None], seq.positions, traj)
+        return traj, scores if seq.states is not None else None
+
+    return gapped, task, draw(st.integers(0, 2)), predict
+
+
+class TestScoreMatchesReference:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(scored_sets())
+    def test_same_reports_and_confusion_matrices(self, case):
+        seqs, task, seed, predict = case
+        got = outcome(harness._score, seqs, task, seed, predict)
+        want = outcome(reference_score, seqs, task, seed, predict)
+        if isinstance(want, Exception):
+            assert_same_outcome(got, want)
+            return
+        assert not isinstance(got, Exception), repr(got)
+        (report, cm), (want_report, want_cm) = got, want
+        assert repr(report) == repr(want_report)
+        for name, value in vars(want_report).items():
+            assert type(getattr(report, name)) is type(value), name
+        assert (cm is None) == (want_cm is None)
+        if cm is not None:
+            assert cm.dtype == want_cm.dtype
+            assert cm.tobytes() == want_cm.tobytes()
+
+    def test_covers_skipped_sequences_and_every_kind(self):
+        # a guard on the generator above: it must reach each task kind, a
+        # set with a skipped sequence, and a set with no target at all
+        seen = set()
+
+        @settings(derandomize=True, max_examples=400, deadline=None)
+        @given(scored_sets())
+        def collect(case):
+            seqs, task, seed, predict = case
+            masks = harness.build_masks(seqs, task, seed)
+            targets = [slot_roles(m, s.nan_mask())[2].any()
+                       for s, m in zip(seqs, masks)]
+            seen.add(task.kind)
+            if not all(targets):
+                seen.add("skipped" if any(targets) else "none left")
+
+        collect()
+        assert set(KINDS) | {"skipped", "none left"} <= seen
 
 
 class TestValidateTaskMatchesReference:

@@ -365,6 +365,31 @@ class TestCopyFreeAccumulation:
         np.testing.assert_allclose(
             y.grad, wc * factor + ws[2:] + wb, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("op", [tx.add, tx.mul, tx.div])
+    @pytest.mark.parametrize("live_first", [True, False])
+    def test_array_operand_is_a_constant(self, op, live_first, monkeypatch):
+        # an array operand gets no gradient and changes none of the other's
+        a, b = rnd((2, 3), 70), rnd((2, 3), 71) + 3.0
+        accum, targets = tx._accum, []
+
+        def counting(t, g):
+            targets.append(t)
+            accum(t, g)
+
+        monkeypatch.setattr(tx, "_accum", counting)
+        grads = []
+        for constant in (True, False):
+            x = tx.DiffTensor(a if live_first else b)
+            c = b if live_first else a
+            c = c if constant else tx.DiffTensor(c)
+            targets.clear()
+            with tx.Tape() as tape:
+                out = op(*((x, c) if live_first else (c, x)))
+                tx.backward(out.sum(), tape)
+            grads.append(x.grad)
+            assert len(targets) == (3 if constant else 4)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
     def test_gradients_are_read_only(self):
         w = tx.DiffTensor(rnd((3, 2), 91))
         x = tx.DiffTensor(rnd((4, 3), 92))
@@ -411,9 +436,20 @@ class TestCopyFreeAccumulation:
                                                           monkeypatch):
         # Constants (the positional table, the CLS ones, the target, the
         # mask weights, the inputs) enter ops as arrays and get no gradient.
+        self.assert_accumulates_only_into_live_tensors(monkeypatch, True)
+
+    def test_without_unc_mask_accumulates_only_into_live_tensors(
+            self, monkeypatch):
+        # the binary loss weights are a constant too
+        self.assert_accumulates_only_into_live_tensors(monkeypatch, False)
+
+    @staticmethod
+    def assert_accumulates_only_into_live_tensors(monkeypatch,
+                                                  with_unc_mask):
         from settraj import attention, harness, model
         from settraj.data import generate_possession_game
-        cfg = model.ModelConfig(d=32, n_heads=4, sab_hidden=64)
+        cfg = model.ModelConfig(d=32, n_heads=4, sab_hidden=64,
+                                with_unc_mask=with_unc_mask)
         seq = generate_possession_game(1, 50, 5, rng_seed=95)[0]
         task = harness.TaskSpec(kind="forecasting", predicted="players",
                                 t_hat=10)
