@@ -348,6 +348,9 @@ def _column(fn, cells, dtype, empty=None):
         cells = list(map({"": empty}.get, cells, cells))
     n = len(cells)
     try:
+        if fn is int:  # ids, frames and codes repeat: convert each one once
+            once = dict.fromkeys(cells)
+            fn = dict(zip(once, map(int, once))).__getitem__
         return np.fromiter(map(fn, cells), dtype, n), np.zeros(n, dtype=bool)
     except (ValueError, OverflowError):
         values, rejected = np.zeros(n, dtype), np.zeros(n, dtype=bool)
@@ -717,18 +720,25 @@ def check_sequence_labels(seq: TrajectorySequence) -> None:
 
 def velocity_baseline(x_partial: np.ndarray, m: ObservationMask,
                       nan_mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Constant-velocity extrapolation.
+    """Constant-velocity extrapolation (:func:`extrapolate_velocity`) of
+    the slots that are not visible under task mask ``m`` and NaN mask."""
+    x = np.asarray(x_partial, dtype=np.float64)
+    T, N = m.entries.shape
+    if x.shape[:2] != (T, N):
+        raise DataError(f"positions {x.shape} do not match mask ({T}, {N})")
+    return extrapolate_velocity(x, slot_roles(m, nan_mask)[1])
+
+
+def extrapolate_velocity(x: np.ndarray, visible: np.ndarray) -> np.ndarray:
+    """Fill the slots of float64 ``[T x N x C]`` positions ``x`` that the
+    boolean ``[T x N]`` ``visible`` does not mark, by constant velocity.
 
     Each maximal hidden run of an agent is projected forward from the two
     visible frames preceding it; with a single preceding visible frame the
     last position is held. Runs with no visible history hold the first
     visible frame after the run, or (0, 0) for fully hidden agents.
     """
-    x = np.asarray(x_partial, dtype=np.float64)
-    T, N = m.entries.shape
-    if x.shape[:2] != (T, N):
-        raise DataError(f"positions {x.shape} do not match mask ({T}, {N})")
-    visible = slot_roles(m, nan_mask)[1]
+    T, N = visible.shape
     if T == 0:
         return x.copy()
     # Slots are flat indices t * N + n; each copies slot ``src``: itself when

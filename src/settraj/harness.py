@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import (BALL, DEFENSE, OFFENSE, TrajectorySequence, atomic_write,
-                   denormalize, normalize, velocity_baseline)
+                   denormalize, extrapolate_velocity, normalize)
 from .errors import ConfigError, DataError, EmptyMaskError, NumericsError
 from .masking import (
     ObservationMask,
@@ -43,6 +43,7 @@ from .model import (
 from .objectives import (
     LossReport,
     MetricReport,
+    _mean,
     accuracy_metric,
     confusion_matrix,
     total_loss,
@@ -92,8 +93,9 @@ class TaskSpec:
         if isinstance(selector, str):
             if selector not in AGENT_GROUPS:
                 raise ConfigError(f"unknown agent group {selector!r}")
-            hit = (types[..., None] == AGENT_GROUPS[selector]).any(axis=-1)
-            return [int(i) for i in np.flatnonzero(hit)]
+            group = AGENT_GROUPS[selector]
+            return [i for i, t in enumerate(types.ravel().tolist())
+                    if t in group]
         agents = [int(i) for i in selector]
         for i in agents:
             if not 0 <= i < types.size:
@@ -358,8 +360,7 @@ def run_model(seq: TrajectorySequence, m: ObservationMask, cfg: ModelConfig,
     x_in = seq.inputs(channels=cfg.input_channels)
     out = forward(x_in, m, nan, cfg, params)
     pred_field = denormalize(out.predictions.values, seq.pitch)
-    visible = slot_roles(m, nan)[1]
-    trajectories = np.where(visible[..., None], seq.positions, pred_field)
+    trajectories = np.where(out.visible[..., None], seq.positions, pred_field)
     return out, pred_field, trajectories
 
 
@@ -562,7 +563,7 @@ def evaluate(params: ModelParams, model_cfg: ModelConfig,
     when every mask is a forecasting mask. The confusion matrix is returned
     when the model classifies and the data is labeled.
     """
-    def predict(seq, m, nan):
+    def predict(seq, m, roles):
         out, _, traj = run_model(seq, m, model_cfg, params)
         graded = model_cfg.with_cls and seq.states is not None
         return traj, out.state_scores.values if graded else None
@@ -574,14 +575,15 @@ def evaluate_velocity_baseline(seqs: Sequence[TrajectorySequence],
                                task: TaskSpec, seed: int = 0) -> MetricReport:
     """The extrapolation baseline pushed through the same metric pipeline
     (no classifier, so accuracy is absent)."""
-    return _score(seqs, task, seed, lambda seq, m, nan: (
-        velocity_baseline(seq.positions, m, nan), None))[0]
+    return _score(seqs, task, seed, lambda seq, m, roles: (
+        extrapolate_velocity(seq.positions, roles[1]), None))[0]
 
 
 def _score(seqs, task, seed, predict):
-    """The metric loop of both evaluations: ``predict(seq, mask, nan)``
-    gives field-unit trajectories and the per-frame state scores to grade
-    (None for none). A sequence without a target slot is not scored."""
+    """The metric loop of both evaluations: ``predict(seq, mask, roles)``,
+    with the sequence's :func:`~settraj.masking.slot_roles`, gives
+    field-unit trajectories and the per-frame state scores to grade (None
+    for none). A sequence without a target slot is not scored."""
     if not seqs:
         raise DataError("evaluation needs at least one sequence")
     masks = build_masks(seqs, task, seed)
@@ -589,10 +591,10 @@ def _score(seqs, task, seed, predict):
     cm = None
     all_forecasting = all(validate_task(m) == "forecasting" for m in masks)
     for seq, m in zip(seqs, masks):
-        nan = seq.nan_mask()
-        traj, scores = predict(seq, m, nan)
+        roles = slot_roles(m, seq.nan_mask())
+        traj, scores = predict(seq, m, roles)
         try:
-            rows.append(trajectory_metrics(traj, seq.positions, m, nan))
+            rows.append(trajectory_metrics(traj, seq.positions, roles[2]))
         except EmptyMaskError:
             continue
         if scores is not None:
@@ -604,10 +606,10 @@ def _score(seqs, task, seed, predict):
         raise EmptyMaskError("no sequence has a target slot to evaluate")
     ades, maxes, ds, fdes = zip(*rows)
     return MetricReport(
-        ade=float(np.mean(ades)),
-        fde=float(np.mean(fdes)) if all_forecasting else None,
-        max_err=float(np.mean(maxes)),
-        acc=float(np.mean(accs)) if accs else None,
+        ade=_mean(np.array(ades)),
+        fde=_mean(np.array(fdes)) if all_forecasting else None,
+        max_err=_mean(np.array(maxes)),
+        acc=_mean(np.array(accs)) if accs else None,
         d_count=sum(ds),
     ), cm
 

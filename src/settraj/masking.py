@@ -26,7 +26,8 @@ def _as_binary(entries, name: str) -> np.ndarray:
     e = np.asarray(entries)
     if e.ndim != 2:
         raise TaskViolationError(f"{name} must be 2-D [T x N], got shape {e.shape}")
-    if not ((e == 0) | (e == 1)).all():
+    if not (e.size == 0 or e.view(np.uint8).max() <= 1  # int8 -1 reads 255
+            if e.dtype == np.int8 else ((e == 0) | (e == 1)).all()):
         raise TaskViolationError(f"{name} entries must be 0 or 1")
     return e.astype(np.int8)
 

@@ -313,6 +313,7 @@ class ForwardOutput:
     trajectories: np.ndarray         # [T x N x 2]
     state_scores: Optional[DiffTensor]  # [T x S] probability rows
     attention: dict
+    visible: np.ndarray              # [T x N] bool: slot_roles' visible
 
 
 def forward(x_partial: np.ndarray, m: ObservationMask,
@@ -365,4 +366,5 @@ def forward(x_partial: np.ndarray, m: ObservationMask,
         trajectories=trajectories,
         state_scores=state_scores,
         attention={"coarse_social": coarse_w, "fine_social": fine_w},
+        visible=visible,
     )

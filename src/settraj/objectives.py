@@ -128,25 +128,25 @@ def _distances(x_hat, x) -> np.ndarray:
     b = np.asarray(x, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"prediction shape {a.shape} != target {b.shape}")
-    return np.linalg.norm(a - b, axis=-1)
+    d = a - b
+    return np.sqrt((d * d).sum(axis=(-1,)))  # np.linalg.norm's arithmetic
 
 
-def trajectory_metrics(x_hat, x, m: ObservationMask,
-                       nan_mask: Optional[np.ndarray] = None
+def trajectory_metrics(x_hat, x, target: np.ndarray
                        ) -> tuple[float, float, int, float]:
-    """``(ADE, MaxErr, D, FDE)`` from one role mask and one distance array:
-    the mean error over the target slots; each agent's maximum, averaged
-    over the D agents with a target; and the mean error at their last
-    target timestep (for forecasting, the final displacement)."""
-    sel = slot_roles(m, nan_mask)[2]
-    agents = sel.any(axis=0)
+    """``(ADE, MaxErr, D, FDE)`` over the boolean [T x N] ``target`` slots
+    (the role of :func:`~settraj.masking.slot_roles`) from one distance
+    array: the mean error over the targets; each agent's maximum,
+    averaged over the D agents with a target; and the mean error at their
+    last target timestep (for forecasting, the final displacement)."""
+    agents = target.any(axis=0)
     if not agents.any():
         raise EmptyMaskError("no hidden slots to evaluate")
     dist = _distances(x_hat, x)
-    maxima = np.where(sel, dist, -np.inf).max(axis=0)[agents]
-    last = sel.shape[0] - 1 - sel[::-1].argmax(axis=0)
-    finals = dist[last, np.arange(sel.shape[1])][agents]
-    return _mean(dist[sel]), _mean(maxima), maxima.size, _mean(finals)
+    maxima = np.where(target, dist, -np.inf).max(axis=0)[agents]
+    last = target.shape[0] - 1 - target[::-1].argmax(axis=0)
+    finals = dist[last, np.arange(target.shape[1])][agents]
+    return _mean(dist[target]), _mean(maxima), maxima.size, _mean(finals)
 
 
 def _mean(a: np.ndarray) -> float:
@@ -158,7 +158,7 @@ def _mean(a: np.ndarray) -> float:
 def _per_agent(x_hat, x, m, nan_mask, empty: str):
     """:func:`trajectory_metrics`, but a shape mismatch raises first."""
     try:
-        return trajectory_metrics(x_hat, x, m, nan_mask)
+        return trajectory_metrics(x_hat, x, slot_roles(m, nan_mask)[2])
     except EmptyMaskError:
         _distances(x_hat, x)
         raise EmptyMaskError(empty) from None
@@ -167,7 +167,7 @@ def _per_agent(x_hat, x, m, nan_mask, empty: str):
 def ade_metric(x_hat, x, m: ObservationMask,
                nan_mask: Optional[np.ndarray] = None) -> float:
     """Mean Euclidean error over the target slots."""
-    return trajectory_metrics(x_hat, x, m, nan_mask)[0]
+    return trajectory_metrics(x_hat, x, slot_roles(m, nan_mask)[2])[0]
 
 
 def fde_metric(x_hat, x, m: ObservationMask,

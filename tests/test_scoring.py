@@ -10,6 +10,11 @@ The metric loop once graded each sequence with three calls, each of which
 took the slot roles and the distances again, and gave every sequence a
 random stream whether its task mask drew from it or not. That loop lives on
 here too, as the reference for ``harness._score``.
+
+Scoring now takes the slot roles once per sequence. The checks it leans on
+once were a broadcast comparison for the agent groups, two comparisons for
+every 0/1 mask and ``np.linalg.norm`` for the distances; they live on here
+as references for ``resolve_agents``, ``_as_binary`` and ``_distances``.
 """
 
 import numpy as np
@@ -18,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from settraj.attention import masked_attention
-from settraj import harness
+from settraj import data, harness, masking, model, objectives
 from settraj.data import (BALL, TrajectorySequence,
                           generate_possession_game, velocity_baseline)
 from settraj.errors import DataError, EmptyMaskError, TaskViolationError
@@ -357,7 +362,8 @@ class TestScoreMatchesReference:
     @given(scored_sets())
     def test_same_reports_and_confusion_matrices(self, case):
         seqs, task, seed, predict = case
-        got = outcome(harness._score, seqs, task, seed, predict)
+        got = outcome(harness._score, seqs, task, seed,
+                      lambda seq, m, roles: predict(seq, m, seq.nan_mask()))
         want = outcome(reference_score, seqs, task, seed, predict)
         if isinstance(want, Exception):
             assert_same_outcome(got, want)
@@ -481,3 +487,194 @@ class TestValueSetChecks:
                               ("defense", (2,)), ("ball", (0,))):
             want = [int(i) for i in np.flatnonzero(np.isin(types, wanted))]
             assert task.resolve_agents(group, types) == want
+
+
+# ---------------------------------------------------------------------------
+# one role pass per scored sequence, and the checks it leans on: the
+# broadcast agent rule, the two-comparison 0/1 check and np.linalg.norm, as
+# the library had them
+# ---------------------------------------------------------------------------
+
+def reference_resolve_group(group, types):
+    hit = (np.asarray(types)[..., None] == harness.AGENT_GROUPS[group]).any(
+        axis=-1)
+    return [int(i) for i in np.flatnonzero(hit)]
+
+
+def reference_as_binary(entries, name):
+    e = np.asarray(entries)
+    if e.ndim != 2:
+        raise TaskViolationError(f"{name} must be 2-D [T x N], got shape {e.shape}")
+    if not ((e == 0) | (e == 1)).all():
+        raise TaskViolationError(f"{name} entries must be 0 or 1")
+    return e.astype(np.int8)
+
+
+def counting(monkeypatch):
+    """Count the ``slot_roles`` calls made through every module that binds
+    it; returns the list the calls append to."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return slot_roles(*args)
+
+    for module in (data, harness, masking, model, objectives):
+        monkeypatch.setattr(module, "slot_roles", spy)
+    return calls
+
+
+def gapped_set(n=3):
+    """Possession games with absent stretches, and one sequence whose every
+    player is absent, so one is left unscored under the player tasks."""
+    seqs = generate_possession_game(n, 12, 2, rng_seed=3)
+    out = []
+    for i, seq in enumerate(seqs):
+        valid = seq.validity.copy()
+        players = np.flatnonzero(seq.agent_types != BALL)
+        if i == n - 1:
+            valid[:, players] = 0
+        else:
+            valid[2 + i:6 + i, players[i]] = 0
+        out.append(TrajectorySequence(
+            seq_id=seq.seq_id,
+            positions=np.where(valid[..., None] == 1, seq.positions, np.nan),
+            agent_types=seq.agent_types, states=seq.states, validity=valid,
+            frame_rate_hz=seq.frame_rate_hz, pitch=seq.pitch))
+    return out
+
+
+class TestOneRolePass:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_baseline_takes_the_roles_once_per_sequence(self, monkeypatch,
+                                                        kind):
+        seqs = gapped_set()
+        task = TaskSpec(kind=kind, t_hat=4, hidden_agents="defense")
+        want = outcome(reference_score, seqs, task, 0, lambda seq, m, nan: (
+            velocity_baseline(seq.positions, m, nan), None))
+        calls = counting(monkeypatch)
+        got = outcome(harness.evaluate_velocity_baseline, seqs, task, 0)
+        if isinstance(want, Exception):
+            assert_same_outcome(got, want)
+        else:
+            assert repr(got) == repr(want[0])
+        assert len(calls) == len(seqs)
+
+    def test_model_takes_the_roles_in_forward_and_scoring_only(
+            self, monkeypatch):
+        seqs = gapped_set()
+        cfg = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4)
+        params = init_params(cfg, seed=0)
+        task = TaskSpec(kind="inference", hidden_agents="ball")
+        calls = counting(monkeypatch)
+        harness.evaluate(params, cfg, seqs, task)
+        assert len(calls) == 2 * len(seqs)  # model.forward and _score
+
+    def test_run_model_composites_over_the_visible_slots(self):
+        seq = gapped_set()[0]
+        cfg = ModelConfig(d=8, n_heads=2, sab_hidden=16, n_state_classes=4)
+        params = init_params(cfg, seed=0)
+        m = harness.sequence_mask(seq, TaskSpec(kind="forecasting", t_hat=4),
+                                  0, 0)
+        out, pred, traj = harness.run_model(seq, m, cfg, params)
+        visible = slot_roles(m, seq.nan_mask())[1]
+        assert out.visible.dtype == bool
+        assert out.visible.tobytes() == visible.tobytes()
+        want = np.where(visible[..., None], seq.positions, pred)
+        assert traj.tobytes() == want.tobytes()
+
+
+TYPE_DTYPES = (np.int8, np.int64, np.float64, np.bool_)
+
+
+@st.composite
+def type_vectors(draw):
+    values = draw(st.lists(st.sampled_from([0, 1, 2, 3, -1, 0.5, np.nan,
+                                            np.inf, -0.0]), max_size=12))
+    dtype = draw(st.sampled_from(TYPE_DTYPES))
+    if np.dtype(dtype).kind in "iu":
+        values = [v for v in values if float(v).is_integer()]
+    with np.errstate(invalid="ignore"):
+        return np.array(values, dtype=np.float64).astype(dtype)
+
+
+class TestResolveAgentsMatchesBroadcast:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(type_vectors())
+    def test_same_indices_for_every_group(self, types):
+        task = TaskSpec()
+        for group in harness.AGENT_GROUPS:
+            got = task.resolve_agents(group, types)
+            assert got == reference_resolve_group(group, types), group
+            assert all(type(i) is int for i in got)
+
+    def test_empty_vectors(self):
+        for dtype in TYPE_DTYPES:
+            types = np.zeros(0, dtype=dtype)
+            for group in harness.AGENT_GROUPS:
+                assert TaskSpec().resolve_agents(group, types) == []
+
+
+class TestAsBinaryMatchesTwoComparisons:
+    @pytest.mark.parametrize("value", range(-128, 128))
+    def test_every_int8_value(self, value):
+        e = np.array([[0, 1, 0], [1, value, 0]], dtype=np.int8)
+        for arr in (e, e.T, e[:, ::2]):  # non-contiguous views too
+            got = outcome(_as_binary, arr, "Mask")
+            want = outcome(reference_as_binary, arr, "Mask")
+            if isinstance(want, Exception):
+                assert_same_outcome(got, want)
+            else:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, arr)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int64,
+                                       np.float64])
+    def test_other_dtypes_empty_and_misshapen(self, dtype):
+        with np.errstate(invalid="ignore"):
+            cases = [np.array(v, dtype=np.float64).astype(dtype) for v in (
+                [[0, 1], [1, 0]], [[0, 2], [1, 0]], [[0, -1]], [[0.5, 1]],
+                [[np.nan, 0]], [[np.inf, 1]], np.zeros((0, 3)),
+                np.zeros((3, 0)), [0, 1], [[[0, 1]]])]
+        for arr in cases:
+            got = outcome(_as_binary, arr, "NanMask")
+            want = outcome(reference_as_binary, arr, "NanMask")
+            if isinstance(want, Exception):
+                assert_same_outcome(got, want)
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def displacement_pairs(draw):
+    shape = draw(st.sampled_from([(1, 1, 2), (5, 3, 2), (12, 11, 2),
+                                  (4, 3), (2,), (0, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e150, 1e300]))
+    a, b = (rng.normal(size=shape) * scale for _ in range(2))
+    specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]
+    for arr in (a, b):
+        for _ in range(draw(st.integers(0, 3)) if arr.size else 0):
+            arr[np.unravel_index(rng.integers(arr.size), shape)] = \
+                specials[rng.integers(len(specials))]
+    return a, b
+
+
+class TestDistancesMatchNorm:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(displacement_pairs())
+    def test_byte_identical(self, pair):
+        a, b = pair
+        with np.errstate(all="ignore"):
+            got = _distances(a, b)
+            want = np.linalg.norm(a - b, axis=-1)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_zero_dimensional_inputs_raise_as_norm_does(self):
+        a, b = np.array(3.0), np.array(1.0)
+        got = outcome(_distances, a, b)
+        want = outcome(lambda: np.linalg.norm(a - b, axis=-1))
+        assert_same_outcome(got, want)
