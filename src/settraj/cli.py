@@ -139,8 +139,9 @@ def cmd_train(args) -> int:
         grad_clip_threshold=args.clip, clip_mode=args.clip_mode,
         seed=args.seed, task=_task_from_args(args),
     )
-    harness.validate_run(train_seqs, model_cfg, train_cfg, args.max_steps)
     resume = harness.Checkpoint.load(args.resume) if args.resume else None
+    harness.validate_run(train_seqs, model_cfg, train_cfg, args.max_steps,
+                         resume)
     out_dir = Path(args.out_dir)
     _write_config(out_dir, "run_config.json", {
         "command": "train", "model": model_cfg.to_dict(),

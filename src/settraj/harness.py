@@ -51,7 +51,7 @@ from .objectives import (
 )
 from .tensor import Tape, backward, scale
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 ADAM_BETAS = (0.9, 0.999)
 
 
@@ -283,16 +283,17 @@ class Checkpoint:
     batch: int = 0   # batches of epoch ``epoch`` already done
 
     def save(self, path) -> None:
-        """Single .npz container: named parameter/moment arrays plus a JSON
-        metadata blob. Float64 arrays round-trip bit-exactly.
+        """Single .npz container: the parameters and the two AdamW moments
+        as one float64 vector each, in ``named_parameters()`` order, plus a
+        JSON metadata blob. Float64 values round-trip bit-exactly.
 
         The write is atomic (:func:`~settraj.data.atomic_write`). ``path`` is
         used exactly as given (no ``.npz`` suffix is appended)."""
-        arrays = {}
-        for name, p in self.params.named_parameters().items():
-            arrays[f"param:{name}"] = p.values
-            arrays[f"adam_m:{name}"] = self.moments.m[name]
-            arrays[f"adam_v:{name}"] = self.moments.v[name]
+        named = self.params.named_parameters()
+        stores = {"param": {k: p.values for k, p in named.items()},
+                  "adam_m": self.moments.m, "adam_v": self.moments.v}
+        arrays = {kind: np.concatenate([store[k].ravel() for k in named])
+                  for kind, store in stores.items()}
         meta = {
             "version": CHECKPOINT_VERSION,
             "model_cfg": self.model_cfg.to_dict(),
@@ -307,40 +308,48 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read an archive written by :meth:`save`. Shapes come from the
+        stored ``model_cfg``; every fault of the file is a ``DataError``
+        naming it."""
         try:
             with np.load(path, allow_pickle=False) as archive:
                 data = {k: archive[k] for k in archive.files}
-            meta = json.loads(str(data["meta"][()]))
+            meta = json.loads(str(data.pop("meta")[()]))
         except FileNotFoundError:
             raise DataError(f"no such checkpoint: {path}") from None
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
-            raise DataError(f"{path}: not a checkpoint archive")
+            raise DataError(f"{path}: not a checkpoint archive") from None
         if not isinstance(meta, dict):
             raise DataError(f"{path}: checkpoint metadata is not an object")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version "
+            raise DataError(f"{path}: unsupported checkpoint version "
                             f"{meta.get('version')}")
-        try:  # ConfigError/ShapeError of the parameters pass through
+        try:
             model_cfg = ModelConfig.from_dict(meta["model_cfg"])
             train_cfg = TrainConfig.from_dict(meta["train_cfg"])
-            param_arrays = {k[len("param:"):]: v for k, v in data.items()
-                            if k.startswith("param:")}
-            params = init_params(model_cfg, seed=0, arrays=param_arrays)
-            moments = AdamWState(params)
-            for name, p in params.named_parameters().items():
-                for kind, store in (("adam_m", moments.m),
-                                    ("adam_v", moments.v)):
-                    arr = data[f"{kind}:{name}"]
-                    if arr.shape != p.values.shape:
-                        raise DataError(
-                            f"{path}: {kind}:{name} has shape {arr.shape}, "
-                            f"expected {p.values.shape}")
-                    store[name] = np.ascontiguousarray(arr, dtype=np.float64)
-            return cls(model_cfg=model_cfg, params=params, moments=moments,
-                       train_cfg=train_cfg, epoch=meta["epoch"],
-                       step=meta["step"], batch=meta["batch"])
-        except (KeyError, TypeError) as e:
+            counters = [meta[k] for k in ("epoch", "step", "batch")]
+            params = init_params(model_cfg, seed=0)
+        except (KeyError, TypeError, ValueError, ConfigError) as e:
             raise DataError(f"{path}: incomplete checkpoint: {e!r}") from None
+        if any(type(c) is not int or c < 0 for c in counters):
+            raise DataError(f"{path}: epoch, step and batch must be integers "
+                            f">= 0, got {counters}")
+        n = params.n_parameters()
+        if sorted(data) != ["adam_m", "adam_v", "param"] or any(
+                v.dtype != np.float64 or v.shape != (n,) for v in data.values()):
+            raise DataError(f"{path}: expected meta and float64 vectors param, "
+                            f"adam_m and adam_v of {n} values, got " + ", ".join(
+                                f"{k} {v.dtype} {v.shape}"
+                                for k, v in sorted(data.items())))
+        moments = AdamWState(params)
+        start = 0
+        for name, p in params.named_parameters().items():
+            shape, end = p.values.shape, start + p.values.size
+            p.values = data["param"][start:end].reshape(shape)
+            moments.m[name] = data["adam_m"][start:end].reshape(shape)
+            moments.v[name] = data["adam_v"][start:end].reshape(shape)
+            start = end
+        return cls(model_cfg, params, moments, train_cfg, *counters)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +413,10 @@ class StepLog:
 
 def validate_run(train_seqs: Sequence[TrajectorySequence],
                  model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 max_steps: Optional[int] = None) -> None:
-    """Raise for the settings and data ``train`` refuses before any mask."""
+                 max_steps: Optional[int] = None,
+                 resume_from: Optional[Checkpoint] = None) -> None:
+    """Raise for the settings and data ``train`` refuses before any mask,
+    including a checkpoint to resume whose model differs from ``model_cfg``."""
     model_cfg.validate()
     train_cfg.validate()
     if max_steps is not None and max_steps < 1:
@@ -415,6 +426,11 @@ def validate_run(train_seqs: Sequence[TrajectorySequence],
     needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0
     if needs_labels and any(s.states is None for s in train_seqs):
         raise DataError("state classification needs labeled sequences")
+    if resume_from is not None and resume_from.model_cfg != model_cfg:
+        ours, theirs = model_cfg.to_dict(), resume_from.model_cfg.to_dict()
+        raise ConfigError("cannot resume a different model: " + ", ".join(
+            f"{k} is {theirs[k]!r} in the checkpoint, {v!r} here"
+            for k, v in ours.items() if theirs[k] != v))
 
 
 def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
@@ -434,7 +450,7 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     a diagnostic. A run resumed from a checkpoint skips the batches of the
     epoch that the checkpoint has done.
     """
-    validate_run(train_seqs, model_cfg, train_cfg, max_steps)
+    validate_run(train_seqs, model_cfg, train_cfg, max_steps, resume_from)
 
     if resume_from is not None:
         params, moments = resume_from.params, resume_from.moments

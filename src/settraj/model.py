@@ -138,34 +138,26 @@ def _build_sab(params: ModelParams, prefix: str, d: int, n_heads: int,
     )
 
 
-def init_params(cfg: ModelConfig, seed: int,
-                arrays: Optional[dict] = None) -> ModelParams:
+def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Create the full parameter tree.
 
     Weight matrices draw from the Xavier normal distribution, biases start at
     zero and layer norms at identity; construction order is fixed so a seed
-    pins every value. When ``arrays`` is given (checkpoint restore), values
-    are taken from it instead, bit-exactly.
+    pins every value.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
     params = ModelParams()
 
-    if arrays is None:
-        def draw(fan_in, fan_out):
-            return xavier_normal_init(fan_in, fan_out, rng)
-    else:
-        def draw(fan_in, fan_out):
-            return np.zeros((fan_in, fan_out))  # placeholder, replaced below
+    def draw(fan_in, fan_out):
+        return xavier_normal_init(fan_in, fan_out, rng)
 
     d, H, hidden = cfg.d, cfg.n_heads, cfg.sab_hidden
     params.input_rffn = _build_rffn(params, "input_rffn",
                                     cfg.input_channels, d, d, draw)
     if cfg.with_cls:
         params.cls_embedding = params.register(
-            "cls_embedding",
-            np.zeros(d) if arrays is not None
-            else xavier_normal_init(d, d, rng, shape=(d,)))
+            "cls_embedding", xavier_normal_init(d, d, rng, shape=(d,)))
     for enc_name in ("encoder_c", "encoder_f"):
         enc = EncoderParams(
             sab_t1=_build_sab(params, f"{enc_name}.sab_t1", d, H, hidden, draw),
@@ -181,19 +173,6 @@ def init_params(cfg: ModelConfig, seed: int,
     if cfg.with_unc_mask:
         params.unc_theta = params.register("unc_theta",
                                            np.float64(initial_theta()))
-
-    if arrays is not None:
-        for name, p in params._by_name.items():
-            if name not in arrays:
-                raise ConfigError(f"checkpoint missing parameter {name!r}")
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-            if p.values.shape != arr.shape:
-                raise ShapeError(f"checkpoint parameter {name!r} has shape "
-                                 f"{arr.shape}, expected {p.values.shape}")
-            p.values = arr
-        extra = set(arrays) - set(params._by_name)
-        if extra:
-            raise ConfigError(f"checkpoint has unknown parameters {sorted(extra)}")
     return params
 
 

@@ -13,7 +13,7 @@ import pytest
 import settraj
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
 from settraj.errors import (ConfigError, DataError, EmptyMaskError,
-                            NumericsError, ShapeError)
+                            NumericsError)
 from settraj.harness import (
     AdamWState,
     Checkpoint,
@@ -67,8 +67,6 @@ def edit_meta(change):
 # archives that open but whose contents are incomplete or come from another
 # version of the configs: the file's fault, so DataError (exit 3)
 INCOMPLETE_ARCHIVES = {
-    "no_adam_m": lambda a: a.pop("adam_m:output_rffn.b2"),
-    "no_adam_v": lambda a: a.pop("adam_v:encoder_c.sab_t1.ln1.gain"),
     "unknown_model_cfg_field": edit_meta(
         lambda m: m["model_cfg"].update(dropout=0.1)),
     "unknown_train_cfg_field": edit_meta(
@@ -76,15 +74,30 @@ INCOMPLETE_ARCHIVES = {
     "unknown_task_field": edit_meta(
         lambda m: m["train_cfg"]["task"].update(horizon=3)),
     "no_model_cfg": edit_meta(lambda m: m.pop("model_cfg")),
+    "invalid_model_cfg": edit_meta(lambda m: m["model_cfg"].update(d=9)),
     "no_task": edit_meta(lambda m: m["train_cfg"].pop("task")),
     "no_epoch": edit_meta(lambda m: m.pop("epoch")),
     "no_step": edit_meta(lambda m: m.pop("step")),
     "no_batch": edit_meta(lambda m: m.pop("batch")),
-    "bad_adam_m": lambda a: a.update({"adam_m:output_rffn.b2": np.zeros(3)}),
-    "bad_adam_v": lambda a: a.update(
-        {"adam_v:encoder_c.sab_t1.ln1.gain": np.zeros((2, 8))}),
+    "str_epoch": edit_meta(lambda m: m.update(epoch="1")),
+    "negative_batch": edit_meta(lambda m: m.update(batch=-3)),
+    "float_step": edit_meta(lambda m: m.update(step=1.5)),
+    "bool_step": edit_meta(lambda m: m.update(step=True)),
     "meta_not_object": lambda a: a.update(meta=np.array(json.dumps([3]))),
+    "extra_member": lambda a: a.update(rng=np.zeros(3)),
 }
+# each flat vector missing, one value short, one value long, 2-D ("bad") or
+# float32
+for _kind in ("param", "adam_m", "adam_v"):
+    INCOMPLETE_ARCHIVES.update({
+        f"no_{_kind}": lambda a, k=_kind: a.pop(k),
+        f"short_{_kind}": lambda a, k=_kind: a.update({k: a[k][:-1]}),
+        f"long_{_kind}": lambda a, k=_kind: a.update(
+            {k: np.append(a[k], 0.0)}),
+        f"bad_{_kind}": lambda a, k=_kind: a.update({k: a[k][None, :]}),
+        f"f32_{_kind}": lambda a, k=_kind: a.update(
+            {k: a[k].astype(np.float32)}),
+    })
 
 
 def write_edited(src, dst, edit):
@@ -410,7 +423,46 @@ class TestCheckpoint:
                 p.values,
                 resumed.params.named_parameters()[k].values)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("variant", [
+        {}, {"with_cls": False}, {"with_social": False},
+        {"with_unc_mask": False}], ids=["desk", "no_cls", "no_social",
+                                        "no_unc_mask"])
+    def test_round_trip_is_bit_exact_for_every_layout(self, variant,
+                                                      tmp_path):
+        from settraj.model import count_parameters
+        cfg = ModelConfig(d=32, n_heads=4, sab_hidden=64, **variant)
+        params = init_params(cfg, seed=11)
+        moments = AdamWState(params)
+        rng = np.random.default_rng(12)
+        for store in (moments.m, moments.v):
+            for k, a in store.items():
+                store[k] = rng.normal(size=a.shape)
+        path = tmp_path / "model.npz"
+        Checkpoint(cfg, params, moments, tiny_train_cfg(), 1, 5, 2).save(path)
+        with np.load(path) as data:
+            assert data["param"].shape == (count_parameters(cfg),)
+        loaded = Checkpoint.load(path)
+        assert (loaded.model_cfg, loaded.epoch, loaded.step,
+                loaded.batch) == (cfg, 1, 5, 2)
+        named = loaded.params.named_parameters()
+        assert list(named) == list(params.named_parameters())
+        for k, p in params.named_parameters().items():
+            for want, got in ((p.values, named[k].values),
+                              (moments.m[k], loaded.moments.m[k]),
+                              (moments.v[k], loaded.moments.v[k])):
+                assert want.shape == got.shape, k
+                assert want.tobytes() == got.tobytes(), k
+
+    def test_resume_of_a_different_model_is_refused(self, tiny_dataset,
+                                                    saved_checkpoint):
+        resume = Checkpoint.load(saved_checkpoint)
+        for change in ({"with_unc_mask": False}, {"d": 16}):
+            other = dataclasses.replace(TINY_MODEL, **change)
+            with pytest.raises(ConfigError, match=next(iter(change))):
+                train(tiny_dataset, other, tiny_train_cfg(epochs=2),
+                      resume_from=resume)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_archive_is_rejected(self, version, saved_checkpoint,
                                              tmp_path):
         path = write_edited(saved_checkpoint, tmp_path / "old.npz", edit_meta(
@@ -425,9 +477,9 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         ckpt.save(path)
         with np.load(path) as data:
-            saved = sum(int(np.prod(data[k].shape)) for k in data.files
-                        if k.startswith("param:"))
-        assert saved == count_parameters(TINY_MODEL)
+            assert sorted(data.files) == ["adam_m", "adam_v", "meta", "param"]
+            assert data["param"].shape == (count_parameters(TINY_MODEL),)
+            assert json.loads(str(data["meta"][()]))["version"] == 4
 
 
     def test_failed_save_keeps_previous_checkpoint(self, tiny_dataset,
@@ -459,25 +511,6 @@ class TestCheckpoint:
         path.write_bytes(b"junk")
         with pytest.raises(DataError, match="junk.npz"):
             Checkpoint.load(path)
-
-    def test_missing_or_misshapen_parameter_keeps_its_type(self, tiny_dataset,
-                                                           tmp_path):
-        ckpt, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=1))
-        path = tmp_path / "model.npz"
-        ckpt.save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        for edit, error in ((lambda a: a.pop("param:output_rffn.b2"),
-                             ConfigError),
-                            (lambda a: a.update(
-                                {"param:output_rffn.b2": np.zeros(3)}),
-                             ShapeError)):
-            broken = dict(arrays)
-            edit(broken)
-            with open(path, "wb") as fh:
-                np.savez(fh, **broken)
-            with pytest.raises(error, match="output_rffn.b2"):
-                Checkpoint.load(path)
 
     @pytest.mark.parametrize("name", sorted(INCOMPLETE_ARCHIVES))
     def test_incomplete_archive_is_a_data_error(self, name, saved_checkpoint,
@@ -733,36 +766,43 @@ class TestCli:
         data = tmp_path / "g.csv"
         save_sequences(tiny_dataset, data)
 
-        def evaluate_with(ckpt):
-            return self.run_cli("evaluate", "--data", str(data),
-                                "--checkpoint", str(ckpt), "--out-dir",
-                                str(tmp_path / "e"))
-
+        resume = ("train", "--out-dir", str(tmp_path / "r"), "--d", "8",
+                  "--heads", "2", "--sab-hidden", "16", "--epochs", "2",
+                  "--resume")
+        evaluate = ("evaluate", "--out-dir", str(tmp_path / "e"),
+                    "--checkpoint")
         for name, edit in sorted(INCOMPLETE_ARCHIVES.items()):
             ckpt = write_edited(saved_checkpoint, tmp_path / f"{name}.npz",
                                 edit)
-            assert evaluate_with(ckpt) == 3, name
-            err = capsys.readouterr().err
-            assert "error[data]" in err and str(ckpt) in err, name
-        # a misshapen moment is refused on load, before training resumes
-        ckpt = write_edited(saved_checkpoint, tmp_path / "bad_adam_m.npz",
-                            INCOMPLETE_ARCHIVES["bad_adam_m"])
+            # refused on load, before a resumed run writes anything
+            for command in (evaluate, resume):
+                assert self.run_cli(*command, str(ckpt), "--data",
+                                    str(data)) == 3, (name, command[0])
+                err = capsys.readouterr().err
+                assert "error[data]" in err and str(ckpt) in err, name
+            assert not (tmp_path / "r" / "run_config.json").exists(), name
+
+    def test_resume_of_a_different_model_exit_code(self, tmp_path,
+                                                   tiny_dataset,
+                                                   saved_checkpoint, capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        tiny = ("--d", "8", "--heads", "2", "--sab-hidden", "16")
+        for i, args in enumerate((tiny + ("--no-unc-mask",),
+                                  ("--d", "16", "--heads", "2",
+                                   "--sab-hidden", "16"))):
+            out = tmp_path / f"r{i}"
+            assert self.run_cli("train", "--data", str(data), "--out-dir",
+                                str(out), "--resume", str(saved_checkpoint),
+                                "--epochs", "2", *args) == 4, args
+            assert not (out / "run_config.json").exists(), args
+            assert "cannot resume a different model" in \
+                capsys.readouterr().err
+        out = tmp_path / "same"
         assert self.run_cli("train", "--data", str(data), "--out-dir",
-                            str(tmp_path / "r"), "--resume", str(ckpt),
-                            "--d", "8", "--heads", "2", "--sab-hidden", "16",
-                            "--epochs", "2") == 3
-        assert not (tmp_path / "r" / "run_config.json").exists()
-        err = capsys.readouterr().err
-        assert "error[data]" in err and str(ckpt) in err
-        # a missing or misshapen parameter stays a config/shape error
-        for name, edit in (
-                ("no_param", lambda a: a.pop("param:output_rffn.b2")),
-                ("bad_param", lambda a: a.update(
-                    {"param:output_rffn.b2": np.zeros(3)}))):
-            ckpt = write_edited(saved_checkpoint, tmp_path / f"{name}.npz",
-                                edit)
-            assert evaluate_with(ckpt) == 4, name
-            assert "error[config]" in capsys.readouterr().err, name
+                            str(out), "--resume", str(saved_checkpoint),
+                            "--epochs", "2", *tiny) == 0
+        assert Checkpoint.load(out / "checkpoint_final.npz").epoch == 2
 
     def test_limit_below_one_is_a_usage_error(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"

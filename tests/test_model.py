@@ -331,11 +331,3 @@ class TestInitialization:
         for name, values in expected.items():
             np.testing.assert_array_equal(named[name].values, values,
                                           err_msg=name)
-
-    def test_restore_from_arrays_is_bit_exact(self):
-        params = init_params(TINY, seed=23)
-        arrays = {k: p.values.copy()
-                  for k, p in params.named_parameters().items()}
-        rebuilt = init_params(TINY, seed=99, arrays=arrays)
-        for name, p in rebuilt.named_parameters().items():
-            np.testing.assert_array_equal(p.values, arrays[name])
