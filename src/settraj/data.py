@@ -437,7 +437,8 @@ class DatasetSplit:
 
 def split_dataset(sequences: Sequence, ratios, seed: int) -> DatasetSplit:
     """Deterministic shuffled train/val/test partition by index."""
-    ratios = tuple(float(r) for r in ratios)
+    # a rounding residue, as in 1 - 0.8 - 0.2, reads as 0
+    ratios = tuple(0.0 if -1e-9 < float(r) < 0 else float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or \
             abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be 3 nonnegative values summing to 1, "

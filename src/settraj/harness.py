@@ -182,9 +182,12 @@ class TrainConfig:
     init_scheme: str = "xavier_normal"
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "lr", "adam_eps",
-                     "grad_clip_threshold", "lr_decay_every"):
-            if not getattr(self, name) > 0:
+        counts = ("epochs", "batch_size", "lr_decay_every")
+        for name in counts + ("lr", "adam_eps", "grad_clip_threshold"):
+            value = getattr(self, name)
+            if name in counts and type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be nonnegative")
@@ -416,7 +419,8 @@ def validate_run(train_seqs: Sequence[TrajectorySequence],
                  max_steps: Optional[int] = None,
                  resume_from: Optional[Checkpoint] = None) -> None:
     """Raise for the settings and data ``train`` refuses before any mask,
-    including a checkpoint to resume whose model differs from ``model_cfg``."""
+    including a checkpoint of another model, or one taken mid-epoch in
+    another batch order (batch size, seed or task) than ``train_cfg``'s."""
     model_cfg.validate()
     train_cfg.validate()
     if max_steps is not None and max_steps < 1:
@@ -426,11 +430,20 @@ def validate_run(train_seqs: Sequence[TrajectorySequence],
     needs_labels = model_cfg.with_cls and model_cfg.lambda_ce > 0
     if needs_labels and any(s.states is None for s in train_seqs):
         raise DataError("state classification needs labeled sequences")
-    if resume_from is not None and resume_from.model_cfg != model_cfg:
-        ours, theirs = model_cfg.to_dict(), resume_from.model_cfg.to_dict()
-        raise ConfigError("cannot resume a different model: " + ", ".join(
-            f"{k} is {theirs[k]!r} in the checkpoint, {v!r} here"
-            for k, v in ours.items() if theirs[k] != v))
+    if resume_from is None:
+        return
+    ckpt, run = resume_from, train_cfg.to_dict()
+    order = {k: run[k] for k in ("batch_size", "seed", "task")}
+    for what, ours, theirs in (
+            ("a different model", model_cfg.to_dict(),
+             ckpt.model_cfg.to_dict()),
+            (f"at batch {ckpt.batch} of epoch {ckpt.epoch} in another batch "
+             "order", order if ckpt.batch else {}, ckpt.train_cfg.to_dict())):
+        changed = ", ".join(f"{k} is {theirs[k]!r} in the checkpoint, "
+                            f"{v!r} here" for k, v in ours.items()
+                            if theirs[k] != v)
+        if changed:
+            raise ConfigError(f"cannot resume {what}: {changed}")
 
 
 def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
@@ -443,26 +456,23 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     per-step log.
 
     Task masks are built once per run; a sequence without a target slot
-    (every hidden slot absent) is left out. Per epoch: batch order is
-    reshuffled (seeded), each batch accumulates per-sequence gradients in
-    fixed order, gradients are clipped, and one AdamW step is applied;
-    validation runs after each complete epoch. A non-finite loss aborts with
-    a diagnostic. A run resumed from a checkpoint skips the batches of the
-    epoch that the checkpoint has done.
+    (every hidden slot absent) is left out. One loop walks the cursor (epoch,
+    batch) from the checkpoint's, or (0, 0), while epochs remain and
+    ``max_steps`` allows another step. A step trains one batch of the epoch's
+    seeded order: per-sequence gradients accumulate in fixed order, are
+    clipped, and one AdamW step is applied. Validation runs as the cursor
+    enters a new epoch. A non-finite loss aborts with a diagnostic.
     """
     validate_run(train_seqs, model_cfg, train_cfg, max_steps, resume_from)
-
-    if resume_from is not None:
-        params, moments = resume_from.params, resume_from.moments
-        start_epoch, step = resume_from.epoch, resume_from.step
-        start_batch = resume_from.batch
-    else:
+    if resume_from is None:
         params = init_params(model_cfg, seed=train_cfg.seed)
-        moments = AdamWState(params)
-        start_epoch, step, start_batch = 0, 0, 0
+        resume_from = Checkpoint(model_cfg, params, AdamWState(params),
+                                 train_cfg, epoch=0, step=0)
+    params, moments = resume_from.params, resume_from.moments
+    epoch, step, b = resume_from.epoch, resume_from.step, resume_from.batch
 
     logs: list[StepLog] = []
-    val_history: list[dict] = []
+    val_rows: list[str] = []  # val_log.csv rows, one per validated epoch
     best_val = np.inf
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -474,66 +484,54 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
     if not kept:
         raise EmptyMaskError("no training sequence has a target slot")
     train_seqs, masks = map(list, zip(*kept))
-    stop = False
     bs = train_cfg.batch_size
     n_batches = -(-len(train_seqs) // bs)
-    position = (start_epoch, start_batch)  # (complete epochs, batches done)
-    for epoch in range(start_epoch, train_cfg.epochs):
+    if b >= n_batches:
+        raise ConfigError(f"cannot resume at batch {b} of epoch {epoch}: "
+                          f"this run has {n_batches} batches an epoch")
+    # the cursor (epoch, b): batch b of epoch ``epoch``'s seeded order is next
+    while epoch < train_cfg.epochs and (max_steps is None or step < max_steps):
         lr = lr_schedule(epoch, train_cfg)
-        order = np.random.default_rng(
-            [train_cfg.seed, epoch, 1]).permutation(len(train_seqs))
-        first = start_batch if epoch == start_epoch else 0
-        for b in range(first, n_batches):
-            batch = order[b * bs:(b + 1) * bs]
-            params.zero_grad()
-            reports: list[LossReport] = []
-            for idx in batch:
-                seq = train_seqs[idx]
-                reports.append(_train_step(seq, masks[idx], model_cfg,
-                                           params, len(batch)))
-            grads = {name: (p.grad if p.grad is not None
-                            else np.zeros_like(p.values))
-                     for name, p in params.named_parameters().items()}
-            clip = train_cfg.grad_clip_threshold
-            grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
-            factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
-                      else float("nan"))
-            step += 1
-            adamw_step(params, grads, moments, step, train_cfg, lr=lr)
-            logs.append(StepLog(
-                step=step, epoch=epoch, lr=lr,
-                loss=float(np.mean([r.total for r in reports])),
-                l_ade=float(np.mean([r.l_ade for r in reports])),
-                l_ce=float(np.mean([r.l_ce for r in reports])),
-                w1=reports[-1].w1_value, grad_norm=norm, clip_factor=factor,
-            ))
-            if not np.isfinite(logs[-1].loss):
-                raise NumericsError(f"training diverged at step {step}")
-            position = (epoch, b + 1) if b + 1 < n_batches else (epoch + 1, 0)
-            if max_steps is not None and step >= max_steps:
-                stop = True
-                break
-        if val_seqs and position == (epoch + 1, 0):
+        batch = np.random.default_rng([train_cfg.seed, epoch, 1]).permutation(
+            len(train_seqs))[b * bs:(b + 1) * bs]
+        params.zero_grad()
+        reports = [_train_step(train_seqs[i], masks[i], model_cfg, params,
+                               len(batch)) for i in batch]
+        grads = {name: (p.grad if p.grad is not None
+                        else np.zeros_like(p.values))
+                 for name, p in params.named_parameters().items()}
+        clip = train_cfg.grad_clip_threshold
+        grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
+        factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
+                  else float("nan"))
+        step += 1
+        adamw_step(params, grads, moments, step, train_cfg, lr=lr)
+        logs.append(StepLog(
+            step=step, epoch=epoch, lr=lr,
+            loss=float(np.mean([r.total for r in reports])),
+            l_ade=float(np.mean([r.l_ade for r in reports])),
+            l_ce=float(np.mean([r.l_ce for r in reports])),
+            w1=reports[-1].w1_value, grad_norm=norm, clip_factor=factor,
+        ))
+        if not np.isfinite(logs[-1].loss):
+            raise NumericsError(f"training diverged at step {step}")
+        epoch, b = (epoch, b + 1) if b + 1 < n_batches else (epoch + 1, 0)
+        if val_seqs and b == 0:
             report, _ = evaluate(params, model_cfg, val_seqs, train_cfg.task,
                                  seed=train_cfg.seed)
-            val_history.append({"epoch": epoch, "ade": report.ade})
+            val_rows.append(f"{epoch - 1},{report.ade:.8f}")
             if out_dir is not None and report.ade < best_val:
                 best_val = report.ade
-                Checkpoint(model_cfg, params, moments, train_cfg,
-                           epoch + 1, step).save(out_dir / "checkpoint_best.npz")
-        if stop:
-            break
+                Checkpoint(model_cfg, params, moments, train_cfg, epoch, step,
+                           b).save(out_dir / "checkpoint_best.npz")
 
-    ckpt = Checkpoint(model_cfg=model_cfg, params=params, moments=moments,
-                      train_cfg=train_cfg, epoch=position[0], step=step,
-                      batch=position[1])
+    ckpt = Checkpoint(model_cfg, params, moments, train_cfg, epoch, step, b)
     if out_dir is not None:
         ckpt.save(out_dir / "checkpoint_final.npz")
         write_step_log(logs, out_dir / "train_log.csv")
-        if val_history:
-            lines = ["epoch,val_ade"]
-            lines += [f"{h['epoch']},{h['ade']:.8f}" for h in val_history]
-            (out_dir / "val_log.csv").write_text("\n".join(lines) + "\n")
+        if val_rows:
+            (out_dir / "val_log.csv").write_text(
+                "\n".join(["epoch,val_ade", *val_rows]) + "\n")
     return ckpt, logs
 
 

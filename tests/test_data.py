@@ -792,8 +792,20 @@ class TestSplit:
         assert a == b
 
     def test_bad_ratios_rejected(self):
-        with pytest.raises(ConfigError):
-            split_dataset(list(range(10)), (0.5, 0.2, 0.2), seed=18)
+        for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5, -1e-6), (0.6, 0.5, -0.1)):
+            with pytest.raises(ConfigError):
+                split_dataset(list(range(10)), ratios, seed=18)
+
+    @pytest.mark.parametrize("tenths", range(1, 10))
+    def test_train_and_val_shares_summing_to_one(self, tenths):
+        # the test share as ``settraj train`` forms it: 1 - 0.8 - 0.2 is
+        # -5.6e-17, a rounding residue that reads as 0
+        t, v = float(f"0.{tenths}"), float(f"0.{10 - tenths}")
+        split = split_dataset(list(range(20)), (t, v, 1.0 - t - v), seed=19)
+        order = np.random.default_rng(19).permutation(20).tolist()
+        assert split.train == sorted(order[:2 * tenths])
+        assert split.val == sorted(order[2 * tenths:])
+        assert split.test == []
 
 
 class TestSequenceValidation:

@@ -27,6 +27,7 @@ from settraj.harness import (
     export_attention,
     lr_schedule,
     train,
+    validate_run,
 )
 from settraj.masking import validate_task
 from settraj.model import ModelConfig, init_params
@@ -54,6 +55,20 @@ def saved_checkpoint(tiny_dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.npz"
     ckpt.save(path)
     return path
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """A validated 3-epoch run over 7 sequences in batches of 3: its inputs,
+    final checkpoint, step logs and ``val_log.csv`` rows."""
+    seqs = generate_possession_game(9, 12, 2, rng_seed=24)
+    tc = tiny_train_cfg(epochs=3, batch_size=3)
+    out = tmp_path_factory.mktemp("uninterrupted")
+    full, logs = train(seqs[:7], TINY_MODEL, tc, val_seqs=seqs[7:],
+                       out_dir=out)
+    val = (out / "val_log.csv").read_text().splitlines()[1:]
+    assert len(val) == 3
+    return seqs[:7], seqs[7:], tc, full, logs, val
 
 
 def edit_meta(change):
@@ -98,6 +113,13 @@ for _kind in ("param", "adam_m", "adam_v"):
         f"f32_{_kind}": lambda a, k=_kind: a.update(
             {k: a[k].astype(np.float32)}),
     })
+
+
+def checkpoint_arrays(ckpt):
+    """Every parameter and both AdamW moments, in ``named_parameters``
+    order."""
+    return [a for k, p in ckpt.params.named_parameters().items()
+            for a in (p.values, ckpt.moments.m[k], ckpt.moments.v[k])]
 
 
 def write_edited(src, dst, edit):
@@ -360,6 +382,12 @@ class TestTrainLoop:
                        {"lr_decay_factor": 1.5}, {"lr": np.nan}):
             with pytest.raises(ConfigError):
                 tiny_train_cfg(**fields).validate()
+        # counts: 2.5 epochs would train three, True one
+        for name in ("epochs", "batch_size", "lr_decay_every"):
+            for value in (2.5, True, np.int64(2)):
+                with pytest.raises(ConfigError,
+                                   match=f"{name} must be an integer"):
+                    tiny_train_cfg(**{name: value}).validate()
         tiny_train_cfg(weight_decay=0.0, lr_decay_factor=1.0).validate()
 
     def test_max_steps_below_one_runs_no_step(self, tiny_dataset, tmp_path):
@@ -396,6 +424,20 @@ class TestTrainLoop:
                            tiny_train_cfg(epochs=50), max_steps=3)
         assert ckpt.step == 3 and len(logs) == 3
 
+    def test_resume_at_the_step_cap_runs_no_step(self, tiny_dataset,
+                                                 tmp_path):
+        # the cap counts the checkpoint's steps: none is left to run
+        part, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=3),
+                        max_steps=3)
+        before = [a.tobytes() for a in checkpoint_arrays(part)]
+        ckpt, logs = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(epochs=3),
+                           out_dir=tmp_path, max_steps=3, resume_from=part)
+        assert logs == []
+        assert (ckpt.epoch, ckpt.batch, ckpt.step) == (1, 1, 3)
+        saved = Checkpoint.load(tmp_path / "checkpoint_final.npz")
+        assert (saved.epoch, saved.batch, saved.step) == (1, 1, 3)
+        assert [a.tobytes() for a in checkpoint_arrays(saved)] == before
+
 
 class TestCheckpoint:
     def test_save_load_bit_exact(self, tiny_dataset, tmp_path):
@@ -422,6 +464,69 @@ class TestCheckpoint:
             np.testing.assert_array_equal(
                 p.values,
                 resumed.params.named_parameters()[k].values)
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_resume_at_every_cut_point_matches_uninterrupted(
+            self, cut, uninterrupted, tmp_path):
+        # 7 sequences in batches of 3 (the last one partial), 3 epochs:
+        # 9 steps, so cuts 1..8 cover every batch of every epoch
+        train_seqs, val_seqs, tc, full, full_logs, full_val = uninterrupted
+        part, part_logs = train(train_seqs, TINY_MODEL, tc, val_seqs=val_seqs,
+                                out_dir=tmp_path / "part", max_steps=cut)
+        assert (part.epoch, part.batch) == divmod(cut, 3)
+        part.save(tmp_path / "part.npz")
+        resumed, logs = train(train_seqs, TINY_MODEL, tc, val_seqs=val_seqs,
+                              out_dir=tmp_path / "rest",
+                              resume_from=Checkpoint.load(
+                                  tmp_path / "part.npz"))
+        assert (resumed.epoch, resumed.batch, resumed.step) \
+            == (full.epoch, full.batch, full.step) == (3, 0, 9)
+        assert [repr(l) for l in part_logs + logs] \
+            == [repr(l) for l in full_logs]
+        val = [(d / "val_log.csv").read_text().splitlines()[1:]
+               for d in (tmp_path / "part", tmp_path / "rest")
+               if (d / "val_log.csv").exists()]
+        assert sum(val, []) == full_val
+        assert [a.tobytes() for a in checkpoint_arrays(resumed)] \
+            == [a.tobytes() for a in checkpoint_arrays(full)]
+
+    def test_mid_epoch_resume_keeps_the_batch_order(self, tiny_dataset,
+                                                    tmp_path):
+        # 8 sequences in batches of 2: one step leaves the cursor at (0, 1)
+        part, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(batch_size=2),
+                        max_steps=1)
+        assert (part.epoch, part.batch) == (0, 1)
+        for change in ({"batch_size": 4}, {"seed": 4},
+                       {"task": TaskSpec(kind="inference")}):
+            cfg = tiny_train_cfg(**{"batch_size": 2, **change})
+            with pytest.raises(ConfigError, match="cannot resume at batch 1 "
+                               f"of epoch 0 in another batch order: "
+                               f"{next(iter(change))} is"):
+                validate_run(tiny_dataset, TINY_MODEL, cfg,
+                             resume_from=part)
+        # the data changed: the cursor lies past the run's 2 batches
+        at_batch_3 = dataclasses.replace(part, batch=3)
+        with pytest.raises(ConfigError, match="cannot resume at batch 3 of "
+                           "epoch 0: this run has 2 batches an epoch"):
+            train(tiny_dataset[:4], TINY_MODEL, tiny_train_cfg(batch_size=2),
+                  out_dir=tmp_path, resume_from=at_batch_3)
+        assert not list(tmp_path.iterdir())
+        # other training settings may differ mid-epoch
+        ckpt, logs = train(tiny_dataset, TINY_MODEL,
+                           tiny_train_cfg(batch_size=2, lr=0.02, epochs=1),
+                           resume_from=part)
+        assert [l.step for l in logs] == [2, 3, 4] and ckpt.epoch == 1
+
+    def test_epoch_boundary_resume_may_change_the_batch_order(
+            self, tiny_dataset):
+        part, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(batch_size=2),
+                        max_steps=4)
+        assert (part.epoch, part.batch, part.step) == (1, 0, 4)
+        ckpt, logs = train(tiny_dataset, TINY_MODEL,
+                           tiny_train_cfg(batch_size=8, seed=4),
+                           resume_from=part)
+        assert [(l.step, l.epoch) for l in logs] == [(5, 1)]
+        assert (ckpt.epoch, ckpt.batch, ckpt.step) == (2, 0, 5)
 
     @pytest.mark.parametrize("variant", [
         {}, {"with_cls": False}, {"with_social": False},
@@ -803,6 +908,49 @@ class TestCli:
                             str(out), "--resume", str(saved_checkpoint),
                             "--epochs", "2", *tiny) == 0
         assert Checkpoint.load(out / "checkpoint_final.npz").epoch == 2
+
+    def test_resume_rules_exit_codes(self, tmp_path, tiny_dataset, capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)  # 6 training sequences
+
+        def train_cli(out, *args):
+            return self.run_cli("train", "--data", str(data), "--out-dir",
+                                str(tmp_path / out), "--d", "8", "--heads",
+                                "2", "--sab-hidden", "16", "--epochs", "2",
+                                *args)
+
+        # in batches of 2, 2 steps stop at batch 2 of epoch 0, 3 at (1, 0)
+        assert train_cli("mid", "--batch-size", "2", "--max-steps", "2") == 0
+        assert train_cli("end", "--batch-size", "2", "--max-steps", "3") == 0
+        mid, end = (str(tmp_path / d / "checkpoint_final.npz")
+                    for d in ("mid", "end"))
+        capsys.readouterr()
+        assert train_cli("r1", "--batch-size", "8", "--resume", mid) == 4
+        assert "cannot resume at batch 2 of epoch 0 in another batch order: " \
+            "batch_size is 2 in the checkpoint, 8 here" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r1" / "run_config.json").exists()
+        # at an epoch boundary the batch size may change: one step of 6
+        assert train_cli("r2", "--batch-size", "8", "--resume", end) == 0
+        ckpt = Checkpoint.load(tmp_path / "r2" / "checkpoint_final.npz")
+        assert (ckpt.epoch, ckpt.batch, ckpt.step) == (2, 0, 4)
+        # the step cap counts the checkpoint's steps
+        capsys.readouterr()
+        assert train_cli("r3", "--batch-size", "2", "--max-steps", "2",
+                         "--resume", mid) == 0
+        assert capsys.readouterr().out == "no steps run\n"
+        ckpt = Checkpoint.load(tmp_path / "r3" / "checkpoint_final.npz")
+        assert (ckpt.epoch, ckpt.batch, ckpt.step) == (0, 2, 2)
+
+    def test_train_and_val_ratios_summing_to_one(self, tmp_path,
+                                                 tiny_dataset):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        assert self.run_cli("train", "--data", str(data), "--out-dir",
+                            str(tmp_path / "r"), "--d", "8", "--heads", "2",
+                            "--sab-hidden", "16", "--epochs", "1",
+                            "--train-ratio", "0.8", "--val-ratio", "0.2") == 0
+        assert (tmp_path / "r" / "val_log.csv").exists()
 
     def test_limit_below_one_is_a_usage_error(self, tmp_path, tiny_dataset):
         data = tmp_path / "g.csv"
