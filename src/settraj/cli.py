@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: generate-data, train, evaluate, infer, export-attention,
-baseline. Every run writes its fully resolved configuration as JSON next to
-its outputs. Exit codes: 0 success, 2 usage, 3 data, 4 config/shape, 5 task
-violation, 6 numerics, 1 anything else.
+baseline. Every run writes its parsed flags and the configs resolved from
+them as JSON next to its outputs. Exit codes: 0 success, 2 usage, 3 data,
+4 config/shape, 5 task violation, 6 numerics, 1 anything else.
 """
 
 from __future__ import annotations
@@ -46,24 +46,6 @@ def _parse_agents(text: str):
         raise ConfigError(f"bad agent selector {text!r}") from None
 
 
-def _add_task_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", default="forecasting",
-                   choices=["forecasting", "imputation", "inference",
-                            "percentage", "circle", "camera"])
-    p.add_argument("--predicted", default="players",
-                   help="agent group name or comma-separated indices")
-    p.add_argument("--t-hat", type=int, default=None,
-                   help="first hidden timestep (forecasting/imputation)")
-    p.add_argument("--hidden-agents", default="ball",
-                   help="agents hidden for inference")
-    p.add_argument("--fraction", type=float, default=0.8,
-                   help="hidden fraction for the percentage task")
-    p.add_argument("--radius", type=float, default=5.0,
-                   help="visibility radius for circle mode")
-    p.add_argument("--half-angle", type=float, default=20.0,
-                   help="camera half opening angle, degrees")
-
-
 def _task_from_args(args) -> harness.TaskSpec:
     return harness.TaskSpec(
         kind=args.task,
@@ -98,9 +80,12 @@ def _model_from_args(args) -> ModelConfig:
     )
 
 
-def _write_config(out_dir: Path, name: str, payload: dict) -> None:
+def _write_config(out_dir: Path, name: str, args, **resolved) -> None:
+    """Record a run: every parsed flag, then the configs resolved from them
+    (a resolved ``task`` replaces the ``--task`` kind it holds)."""
+    record = {k: v for k, v in vars(args).items() if k != "func"} | resolved
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
+    (out_dir / name).write_text(json.dumps(record, indent=2) + "\n")
 
 
 def _load_split(args):
@@ -118,15 +103,20 @@ def cmd_generate_data(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_sequences(seqs, out)
-    payload = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_config(out.parent, out.stem + ".config.json",
-                  payload | {"command": "generate-data"})
+    _write_config(out.parent, out.stem + ".config.json", args)
     print(f"wrote {len(seqs)} sequences to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
     seqs = _load_split(args)
+    resume = harness.Checkpoint.load(args.resume) if args.resume else None
+    if resume is not None:  # the split and the batch order are the run's
+        if args.seed not in (None, resume.train_cfg.seed):
+            raise ConfigError(f"cannot resume with --seed {args.seed}: the "
+                              "run split and ordered its data with seed "
+                              f"{resume.train_cfg.seed}")
+        args.seed = resume.train_cfg.seed
     split = data_mod.split_dataset(seqs, (args.train_ratio, args.val_ratio,
                                           1.0 - args.train_ratio
                                           - args.val_ratio), args.seed)
@@ -139,15 +129,11 @@ def cmd_train(args) -> int:
         grad_clip_threshold=args.clip, clip_mode=args.clip_mode,
         seed=args.seed, task=_task_from_args(args),
     )
-    resume = harness.Checkpoint.load(args.resume) if args.resume else None
     harness.validate_run(train_seqs, model_cfg, train_cfg, args.max_steps,
                          resume)
     out_dir = Path(args.out_dir)
-    _write_config(out_dir, "run_config.json", {
-        "command": "train", "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(), "data": str(args.data),
-        "max_steps": args.max_steps,
-    })
+    _write_config(out_dir, "run_config.json", args,
+                  model=model_cfg.to_dict(), train=train_cfg.to_dict())
     ckpt, logs = harness.train(train_seqs, model_cfg, train_cfg,
                                val_seqs=val_seqs, out_dir=out_dir,
                                max_steps=args.max_steps, resume_from=resume)
@@ -163,9 +149,7 @@ def cmd_evaluate(args) -> int:
     report, cm = harness.evaluate(ckpt.params, ckpt.model_cfg, seqs, task,
                                   seed=args.seed)
     out_dir = Path(args.out_dir)
-    _write_config(out_dir, "eval_config.json", {
-        "command": "evaluate", "checkpoint": str(args.checkpoint),
-        "task": task.to_dict(), "seed": args.seed, "data": str(args.data)})
+    _write_config(out_dir, "eval_config.json", args, task=task.to_dict())
     harness.write_metric_report(report, task, args.seed,
                                 out_dir / "metrics.csv")
     if cm is not None:
@@ -191,9 +175,8 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_sequences(completed, out)
-    _write_config(out.parent, out.stem + ".config.json", {
-        "command": "infer", "checkpoint": str(args.checkpoint),
-        "task": task.to_dict(), "seed": args.seed, "data": str(args.data)})
+    _write_config(out.parent, out.stem + ".config.json", args,
+                  task=task.to_dict())
     print(f"wrote {len(completed)} completed sequences to {out}")
     return 0
 
@@ -209,10 +192,8 @@ def cmd_export_attention(args) -> int:
     out_dir = Path(args.out_dir)
     harness.export_attention(ckpt.params, ckpt.model_cfg, seq, m,
                              args.query_agent, out_dir)
-    _write_config(out_dir, "attention_config.json", {
-        "command": "export-attention", "checkpoint": str(args.checkpoint),
-        "task": task.to_dict(), "sequence": args.sequence,
-        "query_agent": args.query_agent, "seed": args.seed})
+    _write_config(out_dir, "attention_config.json", args,
+                  task=task.to_dict())
     print(f"wrote attention maps to {out_dir}")
     return 0
 
@@ -222,9 +203,8 @@ def cmd_baseline(args) -> int:
     task = _task_from_args(args)
     report = harness.evaluate_velocity_baseline(seqs, task, seed=args.seed)
     out_dir = Path(args.out_dir)
-    _write_config(out_dir, "baseline_config.json", {
-        "command": "baseline", "task": task.to_dict(), "seed": args.seed,
-        "data": str(args.data)})
+    _write_config(out_dir, "baseline_config.json", args,
+                  task=task.to_dict())
     harness.write_metric_report(report, task, args.seed,
                                 out_dir / "metrics.csv")
     print((out_dir / "metrics.csv").read_text().strip())
@@ -251,8 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--unit", choices=["meters", "feet"], default="meters")
     g.set_defaults(func=cmd_generate_data)
 
-    t = sub.add_parser("train", help="train a model")
-    t.add_argument("--data", required=True)
+    # the flags of every command that reads a dataset
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True)
+    shared.add_argument("--seed", type=int, default=None,
+                        help="seed of the masks, split and batch order "
+                        "(default 0; train --resume: the checkpoint's)")
+    shared.add_argument("--limit", type=int, default=None)
+    shared.add_argument("--task", default="forecasting",
+                        choices=["forecasting", "imputation", "inference",
+                                 "percentage", "circle", "camera"])
+    shared.add_argument("--predicted", default="players",
+                        help="agent group name or comma-separated indices")
+    shared.add_argument("--t-hat", type=int, default=None,
+                        help="first hidden timestep (forecasting/imputation)")
+    shared.add_argument("--hidden-agents", default="ball",
+                        help="agents hidden for inference")
+    shared.add_argument("--fraction", type=float, default=0.8,
+                        help="hidden fraction for the percentage task")
+    shared.add_argument("--radius", type=float, default=5.0,
+                        help="visibility radius for circle mode")
+    shared.add_argument("--half-angle", type=float, default=20.0,
+                        help="camera half opening angle, degrees")
+
+    t = sub.add_parser("train", help="train a model", parents=[shared])
     t.add_argument("--out-dir", required=True)
     t.add_argument("--epochs", type=int, default=100)
     t.add_argument("--batch-size", type=int, default=64)
@@ -261,61 +263,46 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--weight-decay", type=float, default=0.01)
     t.add_argument("--clip", type=float, default=5.0)
     t.add_argument("--clip-mode", choices=["norm", "value"], default="norm")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--max-steps", type=int, default=None)
     t.add_argument("--train-ratio", type=float, default=0.8)
     t.add_argument("--val-ratio", type=float, default=0.1)
-    t.add_argument("--limit", type=int, default=None)
     t.add_argument("--resume", default=None)
     _add_model_args(t)
-    _add_task_args(t)
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("evaluate", help="metrics for a checkpoint")
-    e.add_argument("--data", required=True)
+    e = sub.add_parser("evaluate", help="metrics for a checkpoint",
+                       parents=[shared])
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--out-dir", required=True)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--limit", type=int, default=None)
-    _add_task_args(e)
     e.set_defaults(func=cmd_evaluate)
 
-    i = sub.add_parser("infer", help="write completed trajectories")
-    i.add_argument("--data", required=True)
+    i = sub.add_parser("infer", help="write completed trajectories",
+                       parents=[shared])
     i.add_argument("--checkpoint", required=True)
     i.add_argument("--out", required=True)
-    i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--limit", type=int, default=None)
-    _add_task_args(i)
     i.set_defaults(func=cmd_infer)
 
-    a = sub.add_parser("export-attention", help="dump social attention maps")
-    a.add_argument("--data", required=True)
+    a = sub.add_parser("export-attention", help="dump social attention maps",
+                       parents=[shared])
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--out-dir", required=True)
     a.add_argument("--sequence", type=int, default=0)
     a.add_argument("--query-agent", type=int, default=0)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--limit", type=int, default=None)
-    _add_task_args(a)
     a.set_defaults(func=cmd_export_attention)
 
-    b = sub.add_parser("baseline", help="velocity-extrapolation metrics")
-    b.add_argument("--data", required=True)
+    b = sub.add_parser("baseline", help="velocity-extrapolation metrics",
+                       parents=[shared])
     b.add_argument("--out-dir", required=True)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--limit", type=int, default=None)
-    _add_task_args(b)
     b.set_defaults(func=cmd_baseline)
 
     return parser
 
 
 _EXIT_CODES = [
-    ((DataError, EmptyMaskError), 3),
-    ((ConfigError, ShapeError), 4),
-    (TaskViolationError, 5),
-    (NumericsError, 6),
+    ((DataError, EmptyMaskError), 3, "data"),
+    ((ConfigError, ShapeError), 4, "config"),
+    (TaskViolationError, 5, "task"),
+    (NumericsError, 6, "numerics"),
 ]
 
 
@@ -324,13 +311,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "limit", None) is not None and args.limit < 1:
         parser.error(f"argument --limit: must be at least 1, got {args.limit}")
+    if args.seed is None and not getattr(args, "resume", None):
+        args.seed = 0  # --seed's default; a resume takes the checkpoint's
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to exit categories
-        for types, code in _EXIT_CODES:
+        for types, code, category in _EXIT_CODES:
             if isinstance(exc, types):
-                category = {3: "data", 4: "config", 5: "task",
-                            6: "numerics"}[code]
                 print(f"error[{category}]: {exc}", file=sys.stderr)
                 return code
         print(f"error[internal]: {exc}", file=sys.stderr)

@@ -255,12 +255,15 @@ def load_sequences(path) -> list[TrajectorySequence]:
             pitch = PitchSpec(**meta["pitch"])
             rate = float(meta["frame_rate_hz"])
             _check_frame_rate(rate)
-        except (ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError, KeyError, TypeError) as e:
             raise DataError(f"{meta_file}: bad metadata sidecar: {e!r}") from e
     else:
         pitch, rate = PitchSpec(), 6.25
 
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror}") from None
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -9,6 +9,7 @@ a checkpoint replays the exact uninterrupted run.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import zipfile
@@ -468,6 +469,8 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
         params = init_params(model_cfg, seed=train_cfg.seed)
         resume_from = Checkpoint(model_cfg, params, AdamWState(params),
                                  train_cfg, epoch=0, step=0)
+    else:  # train a copy: the caller's checkpoint keeps its state
+        resume_from = copy.deepcopy(resume_from)
     params, moments = resume_from.params, resume_from.moments
     epoch, step, b = resume_from.epoch, resume_from.step, resume_from.batch
 
@@ -490,48 +493,52 @@ def train(train_seqs: Sequence[TrajectorySequence], model_cfg: ModelConfig,
         raise ConfigError(f"cannot resume at batch {b} of epoch {epoch}: "
                           f"this run has {n_batches} batches an epoch")
     # the cursor (epoch, b): batch b of epoch ``epoch``'s seeded order is next
-    while epoch < train_cfg.epochs and (max_steps is None or step < max_steps):
-        lr = lr_schedule(epoch, train_cfg)
-        batch = np.random.default_rng([train_cfg.seed, epoch, 1]).permutation(
-            len(train_seqs))[b * bs:(b + 1) * bs]
-        params.zero_grad()
-        reports = [_train_step(train_seqs[i], masks[i], model_cfg, params,
-                               len(batch)) for i in batch]
-        grads = {name: (p.grad if p.grad is not None
-                        else np.zeros_like(p.values))
-                 for name, p in params.named_parameters().items()}
-        clip = train_cfg.grad_clip_threshold
-        grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
-        factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
-                  else float("nan"))
-        step += 1
-        adamw_step(params, grads, moments, step, train_cfg, lr=lr)
-        logs.append(StepLog(
-            step=step, epoch=epoch, lr=lr,
-            loss=float(np.mean([r.total for r in reports])),
-            l_ade=float(np.mean([r.l_ade for r in reports])),
-            l_ce=float(np.mean([r.l_ce for r in reports])),
-            w1=reports[-1].w1_value, grad_norm=norm, clip_factor=factor,
-        ))
-        if not np.isfinite(logs[-1].loss):
-            raise NumericsError(f"training diverged at step {step}")
-        epoch, b = (epoch, b + 1) if b + 1 < n_batches else (epoch + 1, 0)
-        if val_seqs and b == 0:
-            report, _ = evaluate(params, model_cfg, val_seqs, train_cfg.task,
-                                 seed=train_cfg.seed)
-            val_rows.append(f"{epoch - 1},{report.ade:.8f}")
-            if out_dir is not None and report.ade < best_val:
-                best_val = report.ade
-                Checkpoint(model_cfg, params, moments, train_cfg, epoch, step,
-                           b).save(out_dir / "checkpoint_best.npz")
+    try:
+        while epoch < train_cfg.epochs and (max_steps is None
+                                            or step < max_steps):
+            lr = lr_schedule(epoch, train_cfg)
+            rng = np.random.default_rng([train_cfg.seed, epoch, 1])
+            batch = rng.permutation(len(train_seqs))[b * bs:(b + 1) * bs]
+            params.zero_grad()
+            reports = [_train_step(train_seqs[i], masks[i], model_cfg, params,
+                                   len(batch)) for i in batch]
+            grads = {name: (p.grad if p.grad is not None
+                            else np.zeros_like(p.values))
+                     for name, p in params.named_parameters().items()}
+            clip = train_cfg.grad_clip_threshold
+            grads, norm = clip_gradients(grads, clip, train_cfg.clip_mode)
+            factor = (clip / max(norm, clip) if train_cfg.clip_mode == "norm"
+                      else float("nan"))
+            step += 1
+            adamw_step(params, grads, moments, step, train_cfg, lr=lr)
+            logs.append(StepLog(
+                step=step, epoch=epoch, lr=lr,
+                loss=float(np.mean([r.total for r in reports])),
+                l_ade=float(np.mean([r.l_ade for r in reports])),
+                l_ce=float(np.mean([r.l_ce for r in reports])),
+                w1=reports[-1].w1_value, grad_norm=norm, clip_factor=factor,
+            ))
+            if not np.isfinite(logs[-1].loss):
+                raise NumericsError(f"training diverged at step {step}")
+            epoch, b = (epoch, b + 1) if b + 1 < n_batches else (epoch + 1, 0)
+            if val_seqs and b == 0:
+                report, _ = evaluate(params, model_cfg, val_seqs,
+                                     train_cfg.task, seed=train_cfg.seed)
+                val_rows.append(f"{epoch - 1},{report.ade:.8f}")
+                if out_dir is not None and report.ade < best_val:
+                    best_val = report.ade
+                    Checkpoint(model_cfg, params, moments, train_cfg, epoch,
+                               step, b).save(out_dir / "checkpoint_best.npz")
+    finally:  # a failed run keeps the log of the steps it completed
+        if out_dir is not None:
+            write_step_log(logs, out_dir / "train_log.csv")
+            if val_rows:
+                (out_dir / "val_log.csv").write_text(
+                    "\n".join(["epoch,val_ade", *val_rows]) + "\n")
 
     ckpt = Checkpoint(model_cfg, params, moments, train_cfg, epoch, step, b)
     if out_dir is not None:
         ckpt.save(out_dir / "checkpoint_final.npz")
-        write_step_log(logs, out_dir / "train_log.csv")
-        if val_rows:
-            (out_dir / "val_log.csv").write_text(
-                "\n".join(["epoch,val_ade", *val_rows]) + "\n")
     return ckpt, logs
 
 

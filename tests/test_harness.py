@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import settraj
+from settraj import harness
 from settraj.data import PitchSpec, generate_possession_game, save_sequences
 from settraj.errors import (ConfigError, DataError, EmptyMaskError,
                             NumericsError)
@@ -438,6 +439,28 @@ class TestTrainLoop:
         assert (saved.epoch, saved.batch, saved.step) == (1, 1, 3)
         assert [a.tobytes() for a in checkpoint_arrays(saved)] == before
 
+    def test_failed_run_keeps_its_step_log(self, tiny_dataset, tmp_path,
+                                           monkeypatch):
+        # batches of 4: the ninth sequence step is the first of step 3
+        calls, real = [], harness._train_step
+
+        def fail_at_step_3(*args):
+            calls.append(1)
+            if len(calls) > 8:
+                raise NumericsError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_train_step", fail_at_step_3)
+        with pytest.raises(NumericsError, match="injected"):
+            train(tiny_dataset, TINY_MODEL, tiny_train_cfg(),
+                  val_seqs=tiny_dataset[:2], out_dir=tmp_path)
+        rows = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [["1", "0"],
+                                                         ["2", "0"]]
+        assert len((tmp_path / "val_log.csv").read_text().splitlines()) == 2
+        assert (tmp_path / "checkpoint_best.npz").exists()
+        assert not (tmp_path / "checkpoint_final.npz").exists()
+
 
 class TestCheckpoint:
     def test_save_load_bit_exact(self, tiny_dataset, tmp_path):
@@ -516,6 +539,16 @@ class TestCheckpoint:
                            tiny_train_cfg(batch_size=2, lr=0.02, epochs=1),
                            resume_from=part)
         assert [l.step for l in logs] == [2, 3, 4] and ckpt.epoch == 1
+
+    def test_resume_leaves_the_callers_checkpoint_alone(self, tiny_dataset):
+        part, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(), max_steps=1)
+        cursor = (part.epoch, part.batch, part.step)
+        before = [a.tobytes() for a in checkpoint_arrays(part)]
+        result, _ = train(tiny_dataset, TINY_MODEL, tiny_train_cfg(),
+                          max_steps=4, resume_from=part)
+        assert result.step == 4 and result.params is not part.params
+        assert (part.epoch, part.batch, part.step) == cursor == (0, 1, 1)
+        assert [a.tobytes() for a in checkpoint_arrays(part)] == before
 
     def test_epoch_boundary_resume_may_change_the_batch_order(
             self, tiny_dataset):
@@ -994,6 +1027,117 @@ class TestCli:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not (out / "run_config.json").exists()
+
+    def test_unreadable_data_exit_code(self, tmp_path, tiny_dataset, capsys):
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        sidecar = tmp_path / "g.csv.meta.json"
+        sidecar.unlink()
+        sidecar.mkdir()
+        for path, named in ((folder, folder), (data, sidecar)):
+            assert self.run_cli("baseline", "--data", str(path), "--out-dir",
+                                str(tmp_path / "b")) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[data]: {named}: "), err
+
+    def test_resume_keeps_the_run_seed(self, tmp_path, tiny_dataset,
+                                       saved_checkpoint, capsys):
+        data = tmp_path / "g.csv"
+        save_sequences(tiny_dataset, data)
+        tiny = ("--data", str(data), "--d", "8", "--heads", "2",
+                "--sab-hidden", "16", "--epochs", "2")
+        resume = tiny + ("--resume", str(saved_checkpoint))  # seed 3
+        assert self.run_cli("train", *resume, "--seed", "4", "--out-dir",
+                            str(tmp_path / "r4")) == 4
+        assert "cannot resume with --seed 4: the run split and ordered its " \
+            "data with seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "r4" / "run_config.json").exists()
+        runs = (("r", resume, 3), ("r3", resume + ("--seed", "3"), 3),
+                ("fresh", tiny + ("--max-steps", "1"), 0))
+        for out, args, seed in runs:
+            assert self.run_cli("train", *args, "--out-dir",
+                                str(tmp_path / out)) == 0
+            record = json.loads(
+                (tmp_path / out / "run_config.json").read_text())
+            assert record["seed"] == record["train"]["seed"] == seed, out
+            assert Checkpoint.load(tmp_path / out / "checkpoint_final.npz"
+                                   ).train_cfg.seed == seed, out
+
+    def test_generate_data_record_is_the_parsed_flags(self, tmp_path):
+        data = tmp_path / "g.csv"
+        assert self.run_cli("generate-data", "--out", str(data),
+                            "--n-sequences", "6", "--frames", "10",
+                            "--per-team", "2", "--seed", "1") == 0
+        record = {"command": "generate-data", "out": str(data),
+                  "n_sequences": 6, "frames": 10, "per_team": 2,
+                  "frame_rate": 6.25, "seed": 1, "mode": "possession",
+                  "pitch_length": 105.0, "pitch_width": 68.0,
+                  "unit": "meters"}
+        assert (tmp_path / "g.config.json").read_text() \
+            == json.dumps(record, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "infer",
+                                         "export-attention", "baseline"])
+    def test_run_record_holds_every_parsed_flag(self, command, tmp_path,
+                                                tiny_dataset,
+                                                saved_checkpoint):
+        from settraj.cli import build_parser
+        data, out, ckpt = tmp_path / "g.csv", tmp_path / "out", \
+            str(saved_checkpoint)
+        save_sequences(tiny_dataset, data)
+        task = TaskSpec(kind="imputation", predicted="offense", t_hat=4)
+        argv = ["--data", str(data), "--seed", "3", "--limit", "6",
+                "--task", "imputation", "--predicted", "offense",
+                "--t-hat", "4"]
+        # the values of the keys the records held before they recorded
+        # every parsed flag
+        old = {"command": command, "task": task.to_dict(), "seed": 3,
+               "data": str(data), "checkpoint": ckpt, "sequence": 2,
+               "query_agent": 1, "max_steps": None,
+               "model": TINY_MODEL.to_dict(),
+               "train": TrainConfig(epochs=2, batch_size=2, seed=3,
+                                    task=task).to_dict()}
+        # per command: its own flags, its record and those keys
+        own, record, keys = {
+            "train": (["--out-dir", str(out), "--d", "8", "--heads", "2",
+                       "--sab-hidden", "16", "--epochs", "2",
+                       "--batch-size", "2", "--train-ratio", "0.5",
+                       "--val-ratio", "0.5", "--resume", ckpt],
+                      out / "run_config.json",
+                      ["command", "model", "train", "data", "max_steps"]),
+            "evaluate": (["--checkpoint", ckpt, "--out-dir", str(out)],
+                         out / "eval_config.json",
+                         ["command", "checkpoint", "task", "seed", "data"]),
+            "infer": (["--checkpoint", ckpt, "--out", str(out / "p.csv")],
+                      out / "p.config.json",
+                      ["command", "checkpoint", "task", "seed", "data"]),
+            "export-attention": (["--checkpoint", ckpt, "--out-dir",
+                                  str(out), "--sequence", "2",
+                                  "--query-agent", "1"],
+                                 out / "attention_config.json",
+                                 ["command", "checkpoint", "task",
+                                  "sequence", "query_agent", "seed"]),
+            "baseline": (["--out-dir", str(out)], out / "baseline_config.json",
+                         ["command", "task", "seed", "data"]),
+        }[command]
+        assert self.run_cli(command, *argv, *own) == 0
+        got = json.loads(record.read_text())
+        assert {k: got[k] for k in keys} == {k: old[k] for k in keys}
+        parsed = vars(build_parser().parse_args([command, *argv, *own]))
+        assert set(got) == set(parsed) - {"func"} | set(keys)
+        for k, v in parsed.items():
+            if k not in ("func", "task"):
+                assert got[k] == v, k
+        assert got["limit"] == 6
+        assert got.get("task") == ("imputation" if command == "train"
+                                   else task.to_dict())
+        if command == "train":
+            assert (got["train_ratio"], got["val_ratio"], got["resume"]) \
+                == (0.5, 0.5, ckpt)
+        if command == "export-attention":
+            assert (got["sequence"], got["query_agent"]) == (2, 1)
 
 
 # Prints the thread count of the OpenBLAS that numpy loaded, or "none".
